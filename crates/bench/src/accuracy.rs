@@ -68,7 +68,7 @@ fn run_point(rate_mbps: u64) -> AccuracyPoint {
         );
     }
     runner.run_for(SimDuration::from_secs(2)).unwrap();
-    let core = &runner.emulator().cores()[0];
+    let core = &runner.emulator().expect("sequential backend").cores()[0];
     let log = core.accuracy();
     let offered = rate_mbps as f64 * 1e6 / (1500.0 * 8.0);
     AccuracyPoint {

@@ -68,18 +68,19 @@ fn run_point(hops: usize, flows: usize, measure_secs: u64) -> CapacityPoint {
     // Warm up slow start, then measure a steady-state window.
     let warmup = SimDuration::from_secs(1);
     runner.run_for(warmup).unwrap();
-    let before = runner.emulator().total_stats();
+    let before = runner.backend().total_stats();
     runner
         .run_for(SimDuration::from_secs(measure_secs))
         .unwrap();
-    let after = runner.emulator().total_stats();
+    let after = runner.backend().total_stats();
     let delivered = after.packets_delivered - before.packets_delivered;
     let pps = delivered as f64 / measure_secs as f64;
     CapacityPoint {
         hops,
         flows,
         packets_per_sec: pps,
-        cpu_utilisation: runner.emulator().cores()[0].cpu_utilization(),
+        cpu_utilisation: runner.emulator().expect("sequential backend").cores()[0]
+            .cpu_utilization(),
         physical_drops: after.physical_drops(),
     }
 }

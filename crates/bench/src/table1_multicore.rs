@@ -137,11 +137,11 @@ fn run_point(vn_count: usize, cross_fraction: f64, measure_secs: u64) -> Multico
         runner.add_bulk_flow(src, dst, None, SimTime::ZERO);
     }
     runner.run_for(SimDuration::from_secs(1)).unwrap();
-    let before = runner.emulator().total_stats();
+    let before = runner.backend().total_stats();
     runner
         .run_for(SimDuration::from_secs(measure_secs))
         .unwrap();
-    let after = runner.emulator().total_stats();
+    let after = runner.backend().total_stats();
     MulticoreRow {
         cross_core_fraction: cross_fraction,
         packets_per_sec: (after.packets_delivered - before.packets_delivered) as f64

@@ -309,7 +309,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(runner.vn_ids().len(), 8);
-        assert_eq!(runner.emulator().core_count(), 2);
+        assert_eq!(runner.backend().core_count(), 2);
         assert_eq!(runner.binding().edge_count(), 4);
     }
 
@@ -565,10 +565,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sequential backend")]
-    fn direct_emulator_access_panics_on_the_threaded_backend() {
+    fn direct_emulator_access_is_none_on_the_threaded_backend() {
         let runner = Experiment::new(small_ring()).threaded().build().unwrap();
-        let _ = runner.emulator();
+        assert!(runner.emulator().is_none());
     }
 
     #[test]

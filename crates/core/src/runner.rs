@@ -26,13 +26,18 @@ enum PortBinding {
     Udp(usize),
 }
 
-use mn_assign::Binding;
+use mn_assign::{Binding, CoreId};
+use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
 use mn_dynamics::ScheduleRestoreError;
 use mn_edge::{AppAction, AppCtx, Application, Message};
 use mn_emucore::{
-    Delivery, EmuError, EmulatorSnapshot, MultiCoreEmulator, ParallelEmulator, SubmitOutcome,
+    CoreStats, Delivery, EmuError, EmulatorSnapshot, FluidState, MultiCoreEmulator,
+    ParallelEmulator, SubmitOutcome,
 };
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
+use mn_pipe::CbrConfig;
+use mn_routing::{RouteUpdate, RoutingMatrix};
+use mn_topology::NodeId;
 use mn_transport::{
     BulkSender, SegmentToSend, TcpConfig, TcpConnection, UdpStream, UdpStreamConfig,
 };
@@ -59,8 +64,8 @@ pub enum ExecutionBackend {
     Threaded,
 }
 
-/// The emulator behind a [`Runner`]: the cooperative single-thread backend
-/// or the one-thread-per-core parallel backend, behind one dispatch point.
+/// The emulator behind a [`Runner`]: the inline executor or the
+/// one-thread-per-core pool, behind one dispatch point.
 // One long-lived value per runner, never moved on a hot path: the variant
 // size gap is irrelevant and boxing would only add a pointer chase.
 #[allow(clippy::large_enum_variant)]
@@ -72,40 +77,42 @@ pub enum EmulatorBackend {
     Threaded(ParallelEmulator),
 }
 
-impl EmulatorBackend {
-    /// Submits a packet at time `now`. On the threaded backend a dead or
-    /// stalled worker surfaces as [`EmuError::WorkerFailure`]; the
-    /// sequential backend cannot fail.
-    pub fn submit(&mut self, now: SimTime, packet: Packet) -> Result<SubmitOutcome, EmuError> {
-        match self {
-            EmulatorBackend::Sequential(emu) => Ok(emu.submit(now, packet)),
-            EmulatorBackend::Threaded(emu) => emu.submit(now, packet),
-        }
-    }
-
-    /// Advances the emulation to `now`, appending deliveries.
-    pub fn advance_into(
-        &mut self,
-        now: SimTime,
-        deliveries: &mut Vec<Delivery>,
-    ) -> Result<(), EmuError> {
-        match self {
-            EmulatorBackend::Sequential(emu) => {
-                emu.advance_into(now, deliveries);
-                Ok(())
+/// Defines methods that call the same-named [`mn_emucore::Emulator`]
+/// method on whichever executor the backend holds. Both executors share
+/// one coordinator, so every signature is the same on both.
+macro_rules! forward {
+    () => {};
+    (
+        $(#[$doc:meta])*
+        $vis:vis fn $name:ident(&mut $s:ident $(, $arg:ident: $ty:ty)* $(,)?) $(-> $ret:ty)?;
+        $($rest:tt)*
+    ) => {
+        $(#[$doc])*
+        $vis fn $name(&mut $s $(, $arg: $ty)*) $(-> $ret)? {
+            match $s {
+                EmulatorBackend::Sequential(emu) => emu.$name($($arg),*),
+                EmulatorBackend::Threaded(emu) => emu.$name($($arg),*),
             }
-            EmulatorBackend::Threaded(emu) => emu.advance_into(now, deliveries),
         }
-    }
-
-    /// The earliest time at which the emulation has work due.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.next_wakeup(),
-            EmulatorBackend::Threaded(emu) => emu.next_wakeup(),
+        forward!($($rest)*);
+    };
+    (
+        $(#[$doc:meta])*
+        $vis:vis fn $name:ident(&$s:ident $(, $arg:ident: $ty:ty)* $(,)?) $(-> $ret:ty)?;
+        $($rest:tt)*
+    ) => {
+        $(#[$doc])*
+        $vis fn $name(&$s $(, $arg: $ty)*) $(-> $ret)? {
+            match $s {
+                EmulatorBackend::Sequential(emu) => emu.$name($($arg),*),
+                EmulatorBackend::Threaded(emu) => emu.$name($($arg),*),
+            }
         }
-    }
+        forward!($($rest)*);
+    };
+}
 
+impl EmulatorBackend {
     /// Submits a batch of timestamped packets, appending one outcome per
     /// packet (in input order) to `outcomes` — the bulk-driver fast path
     /// (the threaded backend pipelines it). On error, `outcomes` is left
@@ -119,293 +126,135 @@ impl EmulatorBackend {
         I: IntoIterator<Item = (SimTime, Packet)>,
     {
         match self {
-            EmulatorBackend::Sequential(emu) => {
-                emu.submit_batch(batch, outcomes);
-                Ok(())
-            }
+            EmulatorBackend::Sequential(emu) => emu.submit_batch(batch, outcomes),
             EmulatorBackend::Threaded(emu) => emu.submit_batch(batch, outcomes),
         }
     }
 
-    /// Serializes the complete emulator state. The snapshot is
-    /// backend-independent: it restores into either backend at any core
-    /// count with bit-identical continuation.
-    pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
-        match self {
-            EmulatorBackend::Sequential(emu) => Ok(emu.snapshot()),
-            EmulatorBackend::Threaded(emu) => emu.snapshot(),
-        }
-    }
-
-    /// Aggregated counters across cores.
-    pub fn total_stats(&self) -> mn_emucore::CoreStats {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.total_stats(),
-            EmulatorBackend::Threaded(emu) => emu.total_stats(),
-        }
-    }
-
-    /// One core's counters, by value.
-    pub fn core_stats(&self, core: mn_assign::CoreId) -> Option<mn_emucore::CoreStats> {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.core_stats(core).copied(),
-            EmulatorBackend::Threaded(emu) => emu.core_stats(core),
-        }
-    }
-
-    /// Number of cooperating cores.
-    pub fn core_count(&self) -> usize {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.core_count(),
-            EmulatorBackend::Threaded(emu) => emu.core_count(),
-        }
-    }
-
-    /// Replaces the routing matrix (after a failure recomputation).
-    pub fn set_routing(&mut self, matrix: mn_routing::RoutingMatrix) {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.set_routing(matrix),
-            EmulatorBackend::Threaded(emu) => emu.set_routing(matrix),
-        }
-    }
-
-    /// Updates a pipe's emulation parameters on whichever core owns it.
-    pub fn update_pipe_attrs(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        attrs: mn_distill::PipeAttrs,
-    ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.update_pipe_attrs(pipe, attrs),
-            EmulatorBackend::Threaded(emu) => emu.update_pipe_attrs(pipe, attrs),
-        }
-    }
-
-    /// Installs, replaces or (with `None`) removes the CBR background
-    /// injector on a pipe, on whichever core owns it.
-    pub fn set_pipe_cbr(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        config: Option<mn_pipe::CbrConfig>,
-        from: SimTime,
-    ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.set_pipe_cbr(pipe, config, from),
-            EmulatorBackend::Threaded(emu) => emu.set_pipe_cbr(pipe, config, from),
-        }
-    }
-
-    /// Installs (or clears, with `None`) a distillation-compensation rate on
-    /// a pipe: a fluid-only background demand standing in for the contention
-    /// of the hops the pipe collapsed. Shares the per-pipe background demand
-    /// slot with [`set_pipe_cbr`](Self::set_pipe_cbr) episodes.
-    pub fn set_pipe_compensation(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        rate: Option<DataRate>,
-        from: SimTime,
-    ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.set_pipe_compensation(pipe, rate, from),
-            EmulatorBackend::Threaded(emu) => emu.set_pipe_compensation(pipe, rate, from),
-        }
-    }
-
-    /// Applies an incremental routing change after the listed pipes of
-    /// `topo` were mutated in place: only affected shortest-route trees are
-    /// recomputed and only changed pairs re-wired; untouched `RouteId`s
-    /// (and descriptors in flight on them) are preserved.
-    pub fn reroute(
-        &mut self,
-        topo: &mn_distill::DistilledTopology,
-        changed: &[mn_distill::PipeId],
-    ) -> mn_routing::RouteUpdate {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.reroute(topo, changed),
-            EmulatorBackend::Threaded(emu) => emu.reroute(topo, changed),
-        }
-    }
-
-    /// Sets the cadence at which fluid fair shares are re-solved while
-    /// flows are live.
-    pub fn set_fluid_epoch(&mut self, epoch: SimDuration) {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.set_fluid_epoch(epoch),
-            EmulatorBackend::Threaded(emu) => emu.set_fluid_epoch(epoch),
-        }
-    }
-
-    /// Starts a fluid bulk flow between two VNs at time `at`.
-    pub fn add_fluid_flow(
-        &mut self,
-        tag: u64,
-        src: VnId,
-        dst: VnId,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => {
-                emu.add_fluid_flow(tag, src, dst, demand, clients, at)
-            }
-            EmulatorBackend::Threaded(emu) => {
-                emu.add_fluid_flow(tag, src, dst, demand, clients, at)
-            }
-        }
-    }
-
-    /// Changes a live fluid flow's offered demand and client count.
-    pub fn resize_fluid_flow(
-        &mut self,
-        tag: u64,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.resize_fluid_flow(tag, demand, clients, at),
-            EmulatorBackend::Threaded(emu) => emu.resize_fluid_flow(tag, demand, clients, at),
-        }
-    }
-
-    /// Stops a fluid flow, returning its share to the packet path.
-    pub fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.remove_fluid_flow(tag, at),
-            EmulatorBackend::Threaded(emu) => emu.remove_fluid_flow(tag, at),
-        }
-    }
-
-    /// The rate the last fair-share solve allocated to a fluid flow.
-    pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate> {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.fluid_flow_rate(tag),
-            EmulatorBackend::Threaded(emu) => emu.fluid_flow_rate(tag),
-        }
-    }
-
-    /// Bytes of goodput a fluid flow has accumulated so far.
-    pub fn fluid_flow_goodput_bytes(&self, tag: u64) -> Option<u64> {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.fluid_flow_goodput_bytes(tag),
-            EmulatorBackend::Threaded(emu) => emu.fluid_flow_goodput_bytes(tag),
-        }
-    }
-
-    /// Read access to the coordinator-owned fluid flow state.
-    pub fn fluid(&self) -> &mn_emucore::FluidState {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.fluid(),
-            EmulatorBackend::Threaded(emu) => emu.fluid(),
-        }
-    }
-
-    /// Joins a VN at a client location of `topo` mid-run: its source tree
-    /// and row shard are added incrementally — no full route rebuild — and
-    /// it enters through the least-loaded core.
-    pub fn vn_join(
-        &mut self,
-        topo: &mn_distill::DistilledTopology,
-        vn: VnId,
-        location: mn_topology::NodeId,
-        at: SimTime,
-    ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.vn_join(topo, vn, location, at),
-            EmulatorBackend::Threaded(emu) => emu.vn_join(topo, vn, location, at),
-        }
-    }
-
-    /// Removes a VN mid-run. New traffic touching it is refused at once;
-    /// in-flight descriptors drain on their pre-departure routes and its
-    /// fluid flows are torn down.
-    pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.vn_leave(vn, at),
-            EmulatorBackend::Threaded(emu) => emu.vn_leave(vn, at),
-        }
-    }
-
-    /// `true` while a VN is an active member of the emulation.
-    pub fn vn_is_active(&self, vn: VnId) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.vn_is_active(vn),
-            EmulatorBackend::Threaded(emu) => emu.vn_is_active(vn),
-        }
-    }
-
-    /// Number of currently active VNs.
-    pub fn active_vn_count(&self) -> usize {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.active_vn_count(),
-            EmulatorBackend::Threaded(emu) => emu.active_vn_count(),
-        }
+    forward! {
+        /// Submits a packet at time `now`. A dead or stalled worker
+        /// surfaces as [`EmuError::WorkerFailure`].
+        pub fn submit(&mut self, now: SimTime, packet: Packet) -> Result<SubmitOutcome, EmuError>;
+        /// Advances the emulation to `now`, appending deliveries.
+        pub fn advance_into(
+            &mut self,
+            now: SimTime,
+            deliveries: &mut Vec<Delivery>,
+        ) -> Result<(), EmuError>;
+        /// The earliest time at which the emulation has work due.
+        pub fn next_wakeup(&self) -> Option<SimTime>;
+        /// Serializes the complete emulator state. The snapshot is
+        /// backend-independent: it restores into either backend with
+        /// bit-identical continuation.
+        pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError>;
+        /// Aggregated counters across cores.
+        pub fn total_stats(&self) -> CoreStats;
+        /// One core's counters, by value.
+        pub fn core_stats(&self, core: CoreId) -> Option<CoreStats>;
+        /// Number of cooperating cores.
+        pub fn core_count(&self) -> usize;
+        /// Replaces the routing matrix (after a failure recomputation).
+        pub fn set_routing(&mut self, matrix: RoutingMatrix) -> bool;
+        /// Updates a pipe's emulation parameters on whichever core owns it.
+        pub fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool;
+        /// Installs, replaces or (with `None`) removes the CBR background
+        /// injector on a pipe, on whichever core owns it.
+        pub fn set_pipe_cbr(
+            &mut self,
+            pipe: PipeId,
+            config: Option<CbrConfig>,
+            from: SimTime,
+        ) -> bool;
+        /// Installs (or clears, with `None`) a distillation-compensation
+        /// rate on a pipe: a fluid-only background demand standing in for
+        /// the contention of the hops the pipe collapsed. Shares the
+        /// per-pipe background demand slot with
+        /// [`set_pipe_cbr`](Self::set_pipe_cbr) episodes.
+        pub fn set_pipe_compensation(
+            &mut self,
+            pipe: PipeId,
+            rate: Option<DataRate>,
+            from: SimTime,
+        ) -> bool;
+        /// Applies an incremental routing change after the listed pipes of
+        /// `topo` were mutated in place: only affected shortest-route trees
+        /// are recomputed and only changed pairs re-wired; untouched
+        /// `RouteId`s (and descriptors in flight on them) are preserved.
+        pub fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate;
+        /// Sets the cadence at which fluid fair shares are re-solved while
+        /// flows are live.
+        pub fn set_fluid_epoch(&mut self, epoch: SimDuration);
+        /// Starts a fluid bulk flow between two VNs at time `at`.
+        pub fn add_fluid_flow(
+            &mut self,
+            tag: u64,
+            src: VnId,
+            dst: VnId,
+            demand: DataRate,
+            clients: u32,
+            at: SimTime,
+        ) -> bool;
+        /// Changes a live fluid flow's offered demand and client count.
+        pub fn resize_fluid_flow(
+            &mut self,
+            tag: u64,
+            demand: DataRate,
+            clients: u32,
+            at: SimTime,
+        ) -> bool;
+        /// Stops a fluid flow, returning its share to the packet path.
+        pub fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool;
+        /// The rate the last fair-share solve allocated to a fluid flow.
+        pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate>;
+        /// Bytes of goodput a fluid flow has accumulated so far.
+        pub fn fluid_flow_goodput_bytes(&self, tag: u64) -> Option<u64>;
+        /// Read access to the coordinator-owned fluid flow state.
+        pub fn fluid(&self) -> &FluidState;
+        /// Joins a VN at a client location of `topo` mid-run: its source
+        /// tree and row shard are added incrementally — no full route
+        /// rebuild — and it enters through the least-loaded core.
+        pub fn vn_join(
+            &mut self,
+            topo: &DistilledTopology,
+            vn: VnId,
+            location: NodeId,
+            at: SimTime,
+        ) -> bool;
+        /// Removes a VN mid-run. New traffic touching it is refused at
+        /// once; in-flight descriptors drain on their pre-departure routes
+        /// and its fluid flows are torn down.
+        pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool;
+        /// `true` while a VN is an active member of the emulation.
+        pub fn vn_is_active(&self, vn: VnId) -> bool;
+        /// Number of currently active VNs.
+        pub fn active_vn_count(&self) -> usize;
     }
 }
 
 /// The execution backends are what the dynamics engine reconfigures: both
 /// expose in-place pipe mutation, CBR injection and incremental rerouting
-/// through one dispatch point, so a [`mn_dynamics::Schedule`] applies
+/// through one coordinator, so a [`mn_dynamics::Schedule`] applies
 /// identically (bit for bit) whichever backend drives the run.
 impl mn_dynamics::DynamicsTarget for EmulatorBackend {
-    fn update_pipe_attrs(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        attrs: mn_distill::PipeAttrs,
-    ) -> bool {
-        EmulatorBackend::update_pipe_attrs(self, pipe, attrs)
-    }
-
-    fn set_pipe_cbr(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        config: Option<mn_pipe::CbrConfig>,
-        from: SimTime,
-    ) -> bool {
-        EmulatorBackend::set_pipe_cbr(self, pipe, config, from)
-    }
-
-    fn reroute(
-        &mut self,
-        topo: &mn_distill::DistilledTopology,
-        changed: &[mn_distill::PipeId],
-    ) -> mn_routing::RouteUpdate {
-        EmulatorBackend::reroute(self, topo, changed)
-    }
-
-    fn add_fluid_flow(
-        &mut self,
-        tag: u64,
-        src: VnId,
-        dst: VnId,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        EmulatorBackend::add_fluid_flow(self, tag, src, dst, demand, clients, at)
-    }
-
-    fn resize_fluid_flow(&mut self, tag: u64, demand: DataRate, clients: u32, at: SimTime) -> bool {
-        EmulatorBackend::resize_fluid_flow(self, tag, demand, clients, at)
-    }
-
-    fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
-        EmulatorBackend::remove_fluid_flow(self, tag, at)
-    }
-
-    fn vn_join(
-        &mut self,
-        topo: &mn_distill::DistilledTopology,
-        vn: VnId,
-        location: mn_topology::NodeId,
-        at: SimTime,
-    ) -> bool {
-        EmulatorBackend::vn_join(self, topo, vn, location, at)
-    }
-
-    fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-        EmulatorBackend::vn_leave(self, vn, at)
+    forward! {
+        fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool;
+        fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool;
+        fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate;
+        fn add_fluid_flow(
+            &mut self,
+            tag: u64,
+            src: VnId,
+            dst: VnId,
+            demand: DataRate,
+            clients: u32,
+            at: SimTime,
+        ) -> bool;
+        fn resize_fluid_flow(&mut self, tag: u64, demand: DataRate, clients: u32, at: SimTime)
+            -> bool;
+        fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool;
+        fn vn_join(&mut self, topo: &DistilledTopology, vn: VnId, location: NodeId, at: SimTime)
+            -> bool;
+        fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool;
     }
 }
 
@@ -754,43 +603,18 @@ impl Runner {
     }
 
     /// Mutable access to the execution backend (routing changes, pipe
-    /// updates) — works for both backends.
+    /// updates, fluid flows).
     pub fn backend_mut(&mut self) -> &mut EmulatorBackend {
         &mut self.emulator
     }
 
-    /// The sequential emulator (core statistics, accuracy logs, pipe
-    /// counters).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the threaded backend, whose cores live on their own
-    /// threads; use [`Runner::backend`] for backend-agnostic access, or
-    /// [`EmulatorBackend::total_stats`] for counters.
-    pub fn emulator(&self) -> &MultiCoreEmulator {
+    /// The inline emulator (accuracy logs, utilisation, pipe counters), or
+    /// `None` on the threaded backend, whose cores live on their own
+    /// threads. [`Runner::backend`] reads counters and fluid state on both.
+    pub fn emulator(&self) -> Option<&MultiCoreEmulator> {
         match &self.emulator {
-            EmulatorBackend::Sequential(emu) => emu,
-            EmulatorBackend::Threaded(_) => panic!(
-                "Runner::emulator is only available on the sequential backend; \
-                 use Runner::backend for the threaded one"
-            ),
-        }
-    }
-
-    /// Mutable access to the sequential emulator, used by dynamic
-    /// network-change drivers to adjust pipe parameters mid-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the threaded backend; use [`Runner::backend_mut`], which
-    /// supports routing and pipe updates on both backends.
-    pub fn emulator_mut(&mut self) -> &mut MultiCoreEmulator {
-        match &mut self.emulator {
-            EmulatorBackend::Sequential(emu) => emu,
-            EmulatorBackend::Threaded(_) => panic!(
-                "Runner::emulator_mut is only available on the sequential backend; \
-                 use Runner::backend_mut for the threaded one"
-            ),
+            EmulatorBackend::Sequential(emu) => Some(emu),
+            EmulatorBackend::Threaded(_) => None,
         }
     }
 
@@ -2061,7 +1885,7 @@ mod tests {
         let vns = runner.vn_ids();
         runner.add_bulk_flow(vns[0], vns[1], Some(ByteSize::from_kb(64)), SimTime::ZERO);
         runner.run_for(SimDuration::from_secs(5)).unwrap();
-        let stats = runner.emulator().total_stats();
+        let stats = runner.backend().total_stats();
         assert!(stats.packets_delivered > 0);
         assert_eq!(stats.physical_drops(), 0);
         assert!(runner.packets_submitted() >= stats.packets_admitted);

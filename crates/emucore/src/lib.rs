@@ -17,25 +17,27 @@
 //!   paper's Pentium III + gigabit NIC testbed (see DESIGN.md §2),
 //! * [`EmulatorCore`] — a single core node: pipes, deadline heap, tick
 //!   scheduler, CPU/NIC admission, accuracy log,
-//! * [`MultiCoreEmulator`] — several cores cooperating through the pipe
-//!   ownership directory, tunnelling descriptors when a route crosses cores,
-//! * [`ParallelEmulator`] — the same cooperation with every core on its own
-//!   OS thread, exchanging tunnels over bounded SPSC rings under an epoch
-//!   barrier, bit-identical to the sequential backend,
-//! * [`wireless`] — the ad-hoc wireless extension sketched in §5 (broadcast
-//!   medium, node mobility).
+//! * [`Emulator`] — the one coordinator of several cores cooperating
+//!   through the pipe ownership directory, tunnelling descriptors when a
+//!   route crosses cores. It owns all global state and decides every
+//!   control operation; an executor only runs the cores:
+//!   * [`MultiCoreEmulator`] (`Emulator<Inline>`) runs every core on the
+//!     calling thread,
+//!   * [`ParallelEmulator`] (`Emulator<Pool>`) runs every core on its own
+//!     OS thread, exchanging tunnels over bounded SPSC rings under an
+//!     epoch barrier, bit-identical to the inline executor.
 
 pub mod accuracy;
 pub mod chaos;
 pub mod core;
 pub mod descriptor;
 pub mod error;
+mod executor;
 pub mod fluid;
 pub mod hardware;
 pub mod multicore;
 pub mod parallel;
 pub mod snapshot;
-pub mod wireless;
 
 pub use accuracy::AccuracyLog;
 pub use chaos::ChaosPlan;
@@ -44,6 +46,6 @@ pub use descriptor::{Delivery, Descriptor};
 pub use error::{EmuError, FailureCause};
 pub use fluid::FluidState;
 pub use hardware::HardwareProfile;
-pub use multicore::{MultiCoreEmulator, SubmitOutcome};
-pub use parallel::ParallelEmulator;
+pub use multicore::{Emulator, Inline, MultiCoreEmulator, SubmitOutcome};
+pub use parallel::{ParallelEmulator, Pool};
 pub use snapshot::{EmulatorSnapshot, SNAPSHOT_VERSION};

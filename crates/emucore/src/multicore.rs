@@ -8,6 +8,15 @@
 //! why Table 1 shows aggregate throughput degrading as the fraction of
 //! cross-core traffic grows. With payload caching enabled only the
 //! descriptor, not the packet contents, crosses the core network.
+//!
+//! [`Emulator`] is the one coordinator: it owns the global state (POD,
+//! routing matrix, route-table generations, VN membership, fluid flows) and
+//! decides every control operation, submit dispatch, fluid epoch and
+//! checkpoint. Where the cores run is its type parameter: [`Inline`] runs
+//! them on the calling thread ([`MultiCoreEmulator`]),
+//! [`crate::parallel::Pool`] on one worker thread each
+//! ([`crate::ParallelEmulator`]). Both see the same commands in the same
+//! order, so their results are bit-identical.
 
 use std::sync::Arc;
 
@@ -17,132 +26,17 @@ use mn_packet::{Packet, VnId};
 use mn_pipe::CbrConfig;
 use mn_routing::{RouteTable, RouteUpdate, RoutingMatrix};
 use mn_topology::NodeId;
-use mn_util::{DataRate, SimDuration, SimTime, TimerWheel};
+use mn_util::{ByteReader, ByteWriter, CodecError, DataRate, SimDuration, SimTime, TimerWheel};
 
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
+use crate::error::EmuError;
+use crate::executor::Executor;
 use crate::fluid::FluidState;
 use crate::hardware::HardwareProfile;
-
-/// The backend-independent half of an incremental routing change: updates
-/// the matrix in place against the mutated `topo`, and — only if any route
-/// actually changed — builds the next route-table generation and swaps it
-/// into `routes`. This is the copy-on-write publish: the "clone" is
-/// structural (row shards, route chunks and the content index are shared
-/// by reference, so it costs O(endpoints) shard handles, not O(endpoints²)
-/// entries), `rewire_in_place` then replaces only the row shards whose
-/// routes changed, and cores still reading the previous `Arc` keep a
-/// consistent table until they pick up the new one. Both execution
-/// backends call this and then distribute the new `Arc` their own way, so
-/// the sequence (and with it the bit-identity contract) cannot drift
-/// between them.
-pub(crate) fn apply_route_change(
-    matrix: &mut RoutingMatrix,
-    routes: &mut Arc<RouteTable>,
-    locations: &[NodeId],
-    topo: &DistilledTopology,
-    changed: &[PipeId],
-) -> RouteUpdate {
-    let update = matrix.update_pipes(topo, changed);
-    if !update.is_empty() {
-        let mut table = (**routes).clone();
-        table.rewire_in_place(matrix, locations, &update.changed_pairs);
-        *routes = Arc::new(table);
-    }
-    update
-}
-
-/// The backend-independent half of a VN join: ensure the location has a
-/// source tree in the matrix (one component-scoped Dijkstra if it does
-/// not), bind the endpoint's row shard into the next route-table
-/// generation copy-on-write, and assign an entry core (least-loaded,
-/// lowest index — a pure function of the load vector, so identical churn
-/// histories yield identical assignments on both backends). Everything is
-/// coordinator-side; workers only ever see the published `Arc`.
-///
-/// Returns `false` (changing nothing) for an id that is already active or
-/// not the next fresh index, or a location outside the topology.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_vn_join(
-    matrix: &mut RoutingMatrix,
-    routes: &mut Arc<RouteTable>,
-    vn_location: &mut Vec<NodeId>,
-    vn_entry_core: &mut Vec<CoreId>,
-    vn_active: &mut Vec<bool>,
-    core_load: &mut [u32],
-    topo: &DistilledTopology,
-    vn: VnId,
-    location: NodeId,
-) -> bool {
-    let idx = vn.index();
-    if idx > vn_location.len() || location.index() >= topo.node_count() {
-        return false;
-    }
-    if idx < vn_location.len() && vn_active[idx] {
-        return false;
-    }
-    let added_tree = if matrix.vn_index(location).is_none() {
-        if !matrix.add_source(topo, location) {
-            return false;
-        }
-        true
-    } else {
-        false
-    };
-    let mut next = (**routes).clone();
-    if !next.bind_endpoint(matrix, idx, location) {
-        if added_tree {
-            matrix.remove_source(location);
-        }
-        return false;
-    }
-    let entry = CoreId(mn_assign::least_loaded(core_load));
-    core_load[entry.index()] += 1;
-    if idx == vn_location.len() {
-        vn_location.push(location);
-        vn_entry_core.push(entry);
-        vn_active.push(true);
-    } else {
-        vn_location[idx] = location;
-        vn_entry_core[idx] = entry;
-        vn_active[idx] = true;
-    }
-    *routes = Arc::new(next);
-    true
-}
-
-/// The backend-independent half of a VN leave: the endpoint's row shard is
-/// cleared in the next route-table generation (new traffic from it fails)
-/// and its entry-core load slot is released; if it was the last endpoint
-/// at its location the matrix source tree is removed too. Routes *toward*
-/// the departed endpoint — and every interned `RouteId` — are retained, so
-/// descriptors already in flight drain deterministically on their
-/// pre-departure routes. Returns `false` for an id that is not active.
-pub(crate) fn apply_vn_leave(
-    matrix: &mut RoutingMatrix,
-    routes: &mut Arc<RouteTable>,
-    vn_location: &[NodeId],
-    vn_entry_core: &[CoreId],
-    vn_active: &mut [bool],
-    core_load: &mut [u32],
-    vn: VnId,
-) -> bool {
-    let idx = vn.index();
-    if idx >= vn_active.len() || !vn_active[idx] {
-        return false;
-    }
-    let mut next = (**routes).clone();
-    if !next.unbind_endpoint(idx) {
-        return false;
-    }
-    vn_active[idx] = false;
-    core_load[vn_entry_core[idx].index()] -= 1;
-    if !next.has_endpoints_at(vn_location[idx]) {
-        matrix.remove_source(vn_location[idx]);
-    }
-    *routes = Arc::new(next);
-    true
-}
+use crate::snapshot::{
+    get_delivery, get_descriptor, put_delivery, put_descriptor, EmulatorSnapshot,
+};
 
 /// Result of submitting a packet to the emulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,33 +58,37 @@ impl SubmitOutcome {
     }
 }
 
-/// The state a [`MultiCoreEmulator`] hands over when it is converted into a
-/// parallel backend.
-pub(crate) struct EmulatorParts {
-    pub cores: Vec<EmulatorCore>,
-    pub pod: PipeOwnershipDirectory,
-    pub matrix: RoutingMatrix,
-    pub routes: Arc<RouteTable>,
-    pub vn_location: Vec<NodeId>,
-    pub vn_entry_core: Vec<CoreId>,
-    pub vn_active: Vec<bool>,
-    pub core_load: Vec<u32>,
-    pub tunnels_in_flight: TimerWheel<(CoreId, Descriptor)>,
-    pub local_deliveries: Vec<Delivery>,
-    pub profile: HardwareProfile,
-    pub fluid: FluidState,
+impl From<IngressOutcome> for SubmitOutcome {
+    fn from(outcome: IngressOutcome) -> Self {
+        match outcome {
+            IngressOutcome::Accepted => SubmitOutcome::Accepted,
+            IngressOutcome::VirtualDrop => SubmitOutcome::VirtualDrop,
+            IngressOutcome::PhysicalDropNic | IngressOutcome::PhysicalDropCpu => {
+                SubmitOutcome::PhysicalDrop
+            }
+        }
+    }
 }
 
-/// The set of cooperating core nodes emulating one distilled topology.
+/// What the coordinator decides about a submitted packet on its own.
+enum Admission {
+    /// Settled without a core: no route, or a same-location delivery.
+    Resolved(SubmitOutcome),
+    /// Owed by the entry core at this index.
+    Ingress(usize, Descriptor),
+}
+
+/// The coordinator of a set of cores emulating one distilled topology,
+/// generic over the executor the cores run on.
 #[derive(Debug)]
-pub struct MultiCoreEmulator {
-    cores: Vec<EmulatorCore>,
-    pod: PipeOwnershipDirectory,
+pub struct Emulator<X> {
+    pub(crate) exec: X,
+    pod: Arc<PipeOwnershipDirectory>,
     matrix: RoutingMatrix,
     /// Interned routes plus the sharded VN-pair -> route row shards, shared
     /// with every core. Republished copy-on-write by
-    /// [`MultiCoreEmulator::set_routing`] / [`MultiCoreEmulator::reroute`];
-    /// untouched row shards keep the same allocation across generations.
+    /// [`Emulator::set_routing`] / [`Emulator::reroute`]; untouched row
+    /// shards keep the same allocation across generations.
     routes: Arc<RouteTable>,
     /// Topology location of each VN, indexed densely by `VnId`. An id at or
     /// beyond the table is an unknown VN and yields `SubmitOutcome::NoRoute`.
@@ -204,24 +102,279 @@ pub struct MultiCoreEmulator {
     /// Number of active VNs entering through each core — the load vector
     /// the join path's least-loaded entry-core assignment reads.
     core_load: Vec<u32>,
-    /// Tunnel descriptors in flight between cores, keyed by arrival time on
-    /// the same O(1) timing wheel the cores schedule pipes on.
-    tunnels_in_flight: TimerWheel<(CoreId, Descriptor)>,
     /// Same-location packets that bypass the core network entirely.
     local_deliveries: Vec<Delivery>,
-    /// Reusable per-core scheduler-pass buffer; capacity persists across
-    /// [`MultiCoreEmulator::advance`] calls so the steady state allocates
-    /// nothing.
-    tick_buf: TickOutput,
     profile: HardwareProfile,
-    /// Coordinator-owned fluid flow state. Rate recomputes happen here (at
-    /// epoch boundaries and on flow/topology mutations) and the changed
-    /// per-pipe demands are pushed to the owning cores, so both execution
-    /// backends observe identical piecewise-constant residuals.
+    /// Fluid flow state. Rate recomputes happen here (at epoch boundaries
+    /// and on flow/topology mutations) and the changed per-pipe demands are
+    /// pushed to the owning cores, so every executor observes identical
+    /// piecewise-constant residuals.
     fluid: FluidState,
+    /// First executor failure observed. It poisons the emulator: every
+    /// later submit/advance/snapshot returns this error and every control
+    /// operation refuses, until the emulator is rebuilt from a checkpoint.
+    failure: Option<EmuError>,
 }
 
-impl MultiCoreEmulator {
+/// Every core on the calling thread.
+pub type MultiCoreEmulator = Emulator<Inline>;
+
+/// The inline executor: every core advances on the calling thread, and
+/// tunnels between cores wait on one shared timing wheel.
+#[derive(Debug)]
+pub struct Inline {
+    pub(crate) cores: Vec<EmulatorCore>,
+    /// Tunnel descriptors in flight between cores, keyed by arrival time on
+    /// the same O(1) timing wheel the cores schedule pipes on.
+    pub(crate) tunnels: TimerWheel<(CoreId, Descriptor)>,
+    /// Reusable per-core scheduler-pass buffer; capacity persists across
+    /// advances so the steady state allocates nothing.
+    tick_buf: TickOutput,
+    pub(crate) pod: Arc<PipeOwnershipDirectory>,
+    pub(crate) profile: HardwareProfile,
+}
+
+impl Executor for Inline {
+    fn launch(inline: Inline, _hints: Vec<Option<usize>>) -> Self {
+        inline
+    }
+
+    fn core_count(&self) -> usize {
+        self.cores.len()
+    }
+
+    #[inline]
+    fn ingress(
+        &mut self,
+        core: usize,
+        now: SimTime,
+        descriptor: Descriptor,
+    ) -> Result<Option<IngressOutcome>, EmuError> {
+        Ok(Some(self.cores[core].ingress(now, descriptor)))
+    }
+
+    fn ingress_outcome(&mut self, _core: usize) -> Result<IngressOutcome, EmuError> {
+        unreachable!("inline ingress is never pipelined")
+    }
+
+    fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
+        let mut tick_buf = std::mem::take(&mut self.tick_buf);
+        // Iterate: tunnel arrivals can enqueue work that completes within the
+        // same pass only if latency is zero; the loop is bounded by the
+        // longest route.
+        loop {
+            // Deliver tunnel descriptors that have arrived.
+            while let Some((_, (target, descriptor))) = self.tunnels.pop_due(now) {
+                let _ = self.cores[target.index()].accept_tunnel(now, descriptor);
+            }
+            // Run every core's scheduler through the reusable pass buffer.
+            let mut produced_tunnel = false;
+            for core in &mut self.cores {
+                core.tick_into(now, &mut tick_buf);
+                deliveries.append(&mut tick_buf.deliveries);
+                for (pipe, descriptor, at) in tick_buf.tunnels.drain(..) {
+                    let owner = self
+                        .pod
+                        .get_owner(pipe)
+                        .expect("route references a pipe covered by the POD");
+                    let arrival = at.max(now) + self.profile.tunnel_latency;
+                    self.tunnels.push(arrival, (owner, descriptor));
+                    produced_tunnel = true;
+                }
+            }
+            let more_due = self.tunnels.peek_time().is_some_and(|t| t <= now);
+            if !(produced_tunnel && more_due) {
+                break;
+            }
+        }
+        self.tick_buf = tick_buf;
+        for core in &mut self.cores {
+            core.integrate_fluid_to(now);
+        }
+        Ok(())
+    }
+
+    fn next_wakeup(&self) -> Option<SimTime> {
+        let core_next = self.cores.iter().filter_map(|c| c.next_wakeup()).min();
+        let tunnel_next = self
+            .tunnels
+            .peek_time()
+            .map(|t| self.profile.next_tick_at(t));
+        core_next.into_iter().chain(tunnel_next).min()
+    }
+
+    fn core_stats(&self, core: usize) -> Option<CoreStats> {
+        self.cores.get(core).map(|c| *c.stats())
+    }
+
+    fn set_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
+        for core in &mut self.cores {
+            core.set_route_table(routes.clone());
+        }
+        Ok(())
+    }
+
+    fn update_pipe(
+        &mut self,
+        core: usize,
+        pipe: PipeId,
+        attrs: PipeAttrs,
+    ) -> Result<bool, EmuError> {
+        Ok(self.cores[core].update_pipe_attrs(pipe, attrs))
+    }
+
+    fn set_cbr(
+        &mut self,
+        core: usize,
+        pipe: PipeId,
+        config: Option<CbrConfig>,
+        from: SimTime,
+    ) -> Result<bool, EmuError> {
+        Ok(self.cores[core].set_pipe_cbr(pipe, config, from))
+    }
+
+    fn set_fluid_demand(
+        &mut self,
+        core: usize,
+        pipe: PipeId,
+        rate: DataRate,
+        at: SimTime,
+    ) -> Result<(), EmuError> {
+        let _ = self.cores[core].set_pipe_fluid_demand(pipe, rate, at);
+        Ok(())
+    }
+
+    fn with_cores<R>(
+        &mut self,
+        f: impl FnOnce(&[EmulatorCore], &TimerWheel<(CoreId, Descriptor)>) -> R,
+    ) -> Result<R, EmuError> {
+        Ok(f(&self.cores, &self.tunnels))
+    }
+}
+
+impl Emulator<Inline> {
+    /// Access to the cores themselves (accuracy logs, utilisation, pipes).
+    pub fn cores(&self) -> &[EmulatorCore] {
+        &self.exec.cores
+    }
+
+    /// Moves the coordinator state, cores and tunnels in flight onto
+    /// another executor.
+    pub(crate) fn into_executor<Y: Executor>(self, hints: Vec<Option<usize>>) -> Emulator<Y> {
+        Emulator {
+            exec: Y::launch(self.exec, hints),
+            pod: self.pod,
+            matrix: self.matrix,
+            routes: self.routes,
+            vn_location: self.vn_location,
+            vn_entry_core: self.vn_entry_core,
+            vn_active: self.vn_active,
+            core_load: self.core_load,
+            local_deliveries: self.local_deliveries,
+            profile: self.profile,
+            fluid: self.fluid,
+            failure: self.failure,
+        }
+    }
+
+    /// Reads the payload written by [`Emulator::snapshot`].
+    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let profile = HardwareProfile {
+            nic_rate: r.get_rate()?,
+            nic_buffer: mn_util::ByteSize::from_bytes(r.get_u64()?),
+            per_packet_cpu: r.get_duration()?,
+            per_hop_cpu: r.get_duration()?,
+            tunnel_cpu: r.get_duration()?,
+            tunnel_latency: r.get_duration()?,
+            tick: r.get_duration()?,
+            saturation_backlog: r.get_duration()?,
+            packet_debt_correction: r.get_bool()?,
+            payload_caching: r.get_bool()?,
+        };
+        let routes = Arc::new(RouteTable::decode(r)?);
+        let matrix = RoutingMatrix::decode(r)?;
+        let core_count = r.get_usize()?;
+        let pipe_count = r.get_len()?;
+        let mut owners = Vec::with_capacity(pipe_count);
+        for _ in 0..pipe_count {
+            let owner = r.get_usize()?;
+            if owner >= core_count {
+                return Err(CodecError::Invalid("pipe owner out of range"));
+            }
+            owners.push(CoreId(owner));
+        }
+        let pod = Arc::new(PipeOwnershipDirectory::from_owners(
+            owners,
+            core_count.max(1),
+        ));
+        let vn_count = r.get_len()?;
+        let mut vn_location = Vec::with_capacity(vn_count);
+        for _ in 0..vn_count {
+            vn_location.push(NodeId(r.get_usize()?));
+        }
+        let mut vn_entry_core = Vec::with_capacity(vn_count);
+        for _ in 0..vn_count {
+            vn_entry_core.push(CoreId(r.get_usize()?));
+        }
+        let mut vn_active = Vec::with_capacity(vn_count);
+        for _ in 0..vn_count {
+            vn_active.push(r.get_bool()?);
+        }
+        let load_count = r.get_len()?;
+        let mut core_load = Vec::with_capacity(load_count);
+        for _ in 0..load_count {
+            core_load.push(r.get_u32()?);
+        }
+        let tunnel_count = r.get_len()?;
+        let mut tunnels = TimerWheel::new();
+        for _ in 0..tunnel_count {
+            let time = r.get_time()?;
+            let target = CoreId(r.get_usize()?);
+            let descriptor = get_descriptor(r)?;
+            tunnels.push(time, (target, descriptor));
+        }
+        let local_count = r.get_len()?;
+        let mut local_deliveries = Vec::with_capacity(local_count);
+        for _ in 0..local_count {
+            local_deliveries.push(get_delivery(r)?);
+        }
+        let fluid = FluidState::decode(r)?;
+        let encoded_cores = r.get_len()?;
+        if encoded_cores != core_count {
+            return Err(CodecError::Invalid("core count mismatch"));
+        }
+        let mut cores = Vec::with_capacity(core_count);
+        for idx in 0..core_count {
+            let core = EmulatorCore::decode_state(r, profile, routes.clone())?;
+            if core.id().index() != idx {
+                return Err(CodecError::Invalid("core ids out of order"));
+            }
+            cores.push(core);
+        }
+        Ok(Emulator {
+            exec: Inline {
+                cores,
+                tunnels,
+                tick_buf: TickOutput::default(),
+                pod: pod.clone(),
+                profile,
+            },
+            pod,
+            matrix,
+            routes,
+            vn_location,
+            vn_entry_core,
+            vn_active,
+            core_load,
+            local_deliveries,
+            profile,
+            fluid,
+            failure: None,
+        })
+    }
+}
+
+impl<X: Executor> Emulator<X> {
     /// Builds the emulator: installs each pipe on the core the POD assigns it
     /// to, and records each VN's topology location and entry core from the
     /// binding.
@@ -229,7 +382,8 @@ impl MultiCoreEmulator {
     /// # Panics
     ///
     /// Panics if the POD covers a different number of pipes than the
-    /// distilled topology contains.
+    /// distilled topology contains, or if a worker thread cannot be
+    /// spawned.
     pub fn new(
         topo: &DistilledTopology,
         pod: PipeOwnershipDirectory,
@@ -282,8 +436,18 @@ impl MultiCoreEmulator {
             cores[owner.index()].install_pipe(pipe_id, pipe.attrs);
             capacity_bps[pipe_id.index()] = pipe.attrs.bandwidth.as_bps();
         }
-        MultiCoreEmulator {
-            cores,
+        let hints = (0..cores.len())
+            .map(|c| binding.thread_affinity(CoreId(c)))
+            .collect();
+        let pod = Arc::new(pod);
+        let inline = Emulator {
+            exec: Inline {
+                cores,
+                tunnels: TimerWheel::new(),
+                tick_buf: TickOutput::default(),
+                pod: pod.clone(),
+                profile,
+            },
             pod,
             matrix,
             routes,
@@ -291,12 +455,12 @@ impl MultiCoreEmulator {
             vn_entry_core,
             vn_active,
             core_load,
-            tunnels_in_flight: TimerWheel::new(),
             local_deliveries: Vec::new(),
-            tick_buf: TickOutput::default(),
             profile,
             fluid: FluidState::new(capacity_bps),
-        }
+            failure: None,
+        };
+        inline.into_executor(hints)
     }
 
     /// Convenience constructor for single-core emulation.
@@ -311,47 +475,39 @@ impl MultiCoreEmulator {
         Self::new(topo, pod, matrix, binding, profile, seed)
     }
 
+    /// Rebuilds an emulator from a checkpoint taken by
+    /// [`Emulator::snapshot`] on either executor. Resuming is bit-identical
+    /// to never having stopped.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] if the snapshot is truncated, corrupted, or from an
+    /// incompatible format version.
+    pub fn restore(snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
+        Ok(Emulator::decode(&mut snapshot.reader())?.into_executor(Vec::new()))
+    }
+
     /// Number of cooperating cores.
     pub fn core_count(&self) -> usize {
-        self.cores.len()
+        self.exec.core_count()
     }
 
-    /// Decomposes the emulator into the pieces the parallel backend takes
-    /// ownership of (see [`crate::ParallelEmulator::from_sequential`]).
-    pub(crate) fn into_parts(self) -> EmulatorParts {
-        EmulatorParts {
-            cores: self.cores,
-            pod: self.pod,
-            matrix: self.matrix,
-            routes: self.routes,
-            vn_location: self.vn_location,
-            vn_entry_core: self.vn_entry_core,
-            vn_active: self.vn_active,
-            core_load: self.core_load,
-            tunnels_in_flight: self.tunnels_in_flight,
-            local_deliveries: self.local_deliveries,
-            profile: self.profile,
-            fluid: self.fluid,
-        }
-    }
-
-    /// Access to one core's counters.
-    pub fn core_stats(&self, core: CoreId) -> Option<&CoreStats> {
-        self.cores.get(core.index()).map(|c| c.stats())
+    /// One core's counters.
+    pub fn core_stats(&self, core: CoreId) -> Option<CoreStats> {
+        self.exec.core_stats(core.index())
     }
 
     /// Aggregated counters across cores (an associative
-    /// [`CoreStats::merge`] fold, so it matches what the parallel backend's
-    /// per-thread stats drain reports).
+    /// [`CoreStats::merge`] fold, so drain order does not matter).
     pub fn total_stats(&self) -> CoreStats {
-        self.cores
-            .iter()
-            .fold(CoreStats::default(), |acc, c| acc.merged(c.stats()))
+        (0..self.core_count())
+            .filter_map(|c| self.exec.core_stats(c))
+            .fold(CoreStats::default(), |acc, s| acc.merged(&s))
     }
 
-    /// Access to the cores themselves (accuracy logs, utilisation, pipes).
-    pub fn cores(&self) -> &[EmulatorCore] {
-        &self.cores
+    /// The first executor failure observed, if the emulator is poisoned.
+    pub fn last_failure(&self) -> Option<&EmuError> {
+        self.failure.as_ref()
     }
 
     /// The routing matrix in force.
@@ -364,30 +520,50 @@ impl MultiCoreEmulator {
         &self.routes
     }
 
-    /// Replaces the routing matrix (after a failure recomputation) and
-    /// rebuilds the interned route table on every core. The rebuild is
-    /// explicit and total — there is no incremental cache whose stale entries
-    /// could survive a routing change — but still structurally shared: the
-    /// retained route chunks and the content-dedup index carry over by
-    /// reference instead of being re-interned. Route ids handed out before
-    /// the rebuild stay valid, so descriptors already in flight finish on
-    /// their pre-failure routes — exactly like packets already inside the
-    /// paper's cores.
-    pub fn set_routing(&mut self, matrix: RoutingMatrix) {
-        self.matrix = matrix;
-        self.routes = Arc::new(RouteTable::rebuild(
-            &self.routes,
-            &self.matrix,
-            &self.vn_location,
-        ));
-        for core in &mut self.cores {
-            core.set_route_table(self.routes.clone());
+    /// Records the first executor failure and releases every thread
+    /// waiting on a peer. Returns the error for propagation.
+    fn fail(&mut self, error: EmuError) -> EmuError {
+        self.exec.abort();
+        self.failure.get_or_insert_with(|| error.clone());
+        error
+    }
+
+    /// The value of an executor call, or `None` after recording its
+    /// failure.
+    pub(crate) fn settle<T>(&mut self, result: Result<T, EmuError>) -> Option<T> {
+        result.map_err(|error| self.fail(error)).ok()
+    }
+
+    /// Short-circuits with the original error once the emulator is
+    /// poisoned.
+    fn check_poisoned(&self) -> Result<(), EmuError> {
+        match &self.failure {
+            Some(error) => Err(error.clone()),
+            None => Ok(()),
+        }
+    }
+
+    /// The core owning `pipe`; `None` for an unknown pipe or a poisoned
+    /// emulator, which refuses every control operation.
+    fn owner(&self, pipe: PipeId) -> Option<usize> {
+        if self.failure.is_some() {
+            return None;
+        }
+        self.pod.get_owner(pipe).map(CoreId::index)
+    }
+
+    /// Installs the current route-table generation on every core and
+    /// re-solves the fluid share at `at` if any flow is live (or `force`).
+    fn publish_routes(&mut self, at: SimTime, force: bool) -> bool {
+        let published = self.exec.set_routes(&self.routes);
+        if self.settle(published).is_none() {
+            return false;
         }
         self.fluid.mark_routes_dirty();
-        if self.fluid.has_flows() {
-            let at = self.fluid.clock();
+        if force || self.fluid.has_flows() {
             self.recompute_fluid(at);
         }
+        true
     }
 
     /// Re-solves the fluid fair share at `at` and pushes every changed
@@ -396,23 +572,53 @@ impl MultiCoreEmulator {
     /// per-pipe totals.
     fn recompute_fluid(&mut self, at: SimTime) {
         let changed = self.fluid.recompute(at, &self.routes);
+        let mut failed = Ok(());
         for &(pipe, bps) in changed {
             let owner = self
                 .pod
                 .get_owner(pipe)
                 .expect("fluid routes reference pipes covered by the POD");
-            let _ =
-                self.cores[owner.index()].set_pipe_fluid_demand(pipe, DataRate::from_bps(bps), at);
+            failed = self
+                .exec
+                .set_fluid_demand(owner.index(), pipe, DataRate::from_bps(bps), at);
+            if failed.is_err() {
+                break;
+            }
         }
+        self.settle(failed);
+    }
+
+    /// Replaces the routing matrix (after a failure recomputation) and
+    /// rebuilds the interned route table on every core. The rebuild is
+    /// explicit and total — there is no incremental cache whose stale entries
+    /// could survive a routing change — but still structurally shared: the
+    /// retained route chunks and the content-dedup index carry over by
+    /// reference instead of being re-interned. Route ids handed out before
+    /// the rebuild stay valid, so descriptors already in flight finish on
+    /// their pre-failure routes — exactly like packets already inside the
+    /// paper's cores. Returns `false` on a poisoned emulator.
+    pub fn set_routing(&mut self, matrix: RoutingMatrix) -> bool {
+        if self.failure.is_some() {
+            return false;
+        }
+        self.matrix = matrix;
+        self.routes = Arc::new(RouteTable::rebuild(
+            &self.routes,
+            &self.matrix,
+            &self.vn_location,
+        ));
+        let at = self.fluid.clock();
+        self.publish_routes(at, false)
     }
 
     /// Updates a pipe's emulation parameters on whichever core owns it. The
     /// fluid model tracks the new capacity; live flows re-share immediately.
     pub fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
-        let Some(owner) = self.pod.get_owner(pipe) else {
+        let Some(owner) = self.owner(pipe) else {
             return false;
         };
-        if !self.cores[owner.index()].update_pipe_attrs(pipe, attrs) {
+        let updated = self.exec.update_pipe(owner, pipe, attrs);
+        if self.settle(updated) != Some(true) {
             return false;
         }
         self.fluid.set_capacity(pipe, attrs.bandwidth);
@@ -428,10 +634,11 @@ impl MultiCoreEmulator {
     /// `from` (the paper's hop-by-hop compensation for distilled-away
     /// links, and the cross-traffic half of runtime reconfiguration).
     pub fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
-        let Some(owner) = self.pod.get_owner(pipe) else {
+        let Some(owner) = self.owner(pipe) else {
             return false;
         };
-        if !self.cores[owner.index()].set_pipe_cbr(pipe, config, from) {
+        let updated = self.exec.set_cbr(owner, pipe, config, from);
+        if self.settle(updated) != Some(true) {
             return false;
         }
         // The bandwidth half of the episode is a fixed-rate fluid demand on
@@ -449,7 +656,7 @@ impl MultiCoreEmulator {
     /// Unlike [`set_pipe_cbr`](Self::set_pipe_cbr) this is fluid-only — no
     /// packets are synthesised, foreground traffic just sees the pipe's
     /// residual capacity — so the steady state allocates nothing and both
-    /// backends stay bit-identical. It shares the per-pipe background demand
+    /// executors stay bit-identical. It shares the per-pipe background demand
     /// slot with scheduled CBR episodes: installing one replaces the other.
     ///
     /// Returns `false` if the pipe is unknown.
@@ -459,7 +666,7 @@ impl MultiCoreEmulator {
         rate: Option<DataRate>,
         from: SimTime,
     ) -> bool {
-        if self.pod.get_owner(pipe).is_none() {
+        if self.owner(pipe).is_none() {
             return false;
         }
         self.fluid.set_cbr(pipe, rate, from);
@@ -478,23 +685,25 @@ impl MultiCoreEmulator {
     /// `RouteId`s are preserved, so descriptors in flight keep resolving to
     /// the routes they started on — like packets already inside the paper's
     /// cores — while new packets see only the post-change routes.
+    ///
+    /// The next table generation is a copy-on-write publish: the "clone" is
+    /// structural (row shards, route chunks and the content index are
+    /// shared by reference), `rewire_in_place` replaces only the row shards
+    /// whose routes changed, and cores still reading the previous `Arc`
+    /// keep a consistent table until they pick up the new one.
+    ///
+    /// A poisoned emulator changes nothing and reports an empty update.
     pub fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
-        let update = apply_route_change(
-            &mut self.matrix,
-            &mut self.routes,
-            &self.vn_location,
-            topo,
-            changed,
-        );
+        if self.failure.is_some() {
+            return RouteUpdate::default();
+        }
+        let update = self.matrix.update_pipes(topo, changed);
         if !update.is_empty() {
-            for core in &mut self.cores {
-                core.set_route_table(self.routes.clone());
-            }
-            self.fluid.mark_routes_dirty();
-            if self.fluid.has_flows() {
-                let at = self.fluid.clock();
-                self.recompute_fluid(at);
-            }
+            let mut table = (*self.routes).clone();
+            table.rewire_in_place(&self.matrix, &self.vn_location, &update.changed_pairs);
+            self.routes = Arc::new(table);
+            let at = self.fluid.clock();
+            self.publish_routes(at, false);
         }
         update
     }
@@ -519,7 +728,7 @@ impl MultiCoreEmulator {
         clients: u32,
         at: SimTime,
     ) -> bool {
-        if !self.fluid.add_flow(tag, src, dst, demand, clients, at) {
+        if self.failure.is_some() || !self.fluid.add_flow(tag, src, dst, demand, clients, at) {
             return false;
         }
         self.recompute_fluid(at);
@@ -534,7 +743,7 @@ impl MultiCoreEmulator {
         clients: u32,
         at: SimTime,
     ) -> bool {
-        if !self.fluid.resize_flow(tag, demand, clients, at) {
+        if self.failure.is_some() || !self.fluid.resize_flow(tag, demand, clients, at) {
             return false;
         }
         self.recompute_fluid(at);
@@ -543,7 +752,7 @@ impl MultiCoreEmulator {
 
     /// Stops a fluid flow, returning its share to the packet path.
     pub fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
-        if !self.fluid.remove_flow(tag, at) {
+        if self.failure.is_some() || !self.fluid.remove_flow(tag, at) {
             return false;
         }
         self.recompute_fluid(at);
@@ -590,9 +799,12 @@ impl MultiCoreEmulator {
     /// the matrix if absent (O(component log component)), the endpoint's
     /// row shard is bound into a copy-on-write route-table generation
     /// (O(affected rows), flat in the total VN count), and the newcomer
-    /// enters through the least-loaded core. `vn` must be either a fresh
-    /// contiguous id (`VnId(n)` when `n` VNs exist) or a departed id
-    /// rejoining. Returns `false` (changing nothing) otherwise.
+    /// enters through the least-loaded core (lowest index on ties — a pure
+    /// function of the load vector, so identical churn histories yield
+    /// identical assignments). `vn` must be either a fresh contiguous id
+    /// (`VnId(n)` when `n` VNs exist) or a departed id rejoining. Returns
+    /// `false` (changing nothing) otherwise, for a location outside the
+    /// topology, or on a poisoned emulator.
     pub fn vn_join(
         &mut self,
         topo: &DistilledTopology,
@@ -600,76 +812,87 @@ impl MultiCoreEmulator {
         location: NodeId,
         at: SimTime,
     ) -> bool {
-        if !apply_vn_join(
-            &mut self.matrix,
-            &mut self.routes,
-            &mut self.vn_location,
-            &mut self.vn_entry_core,
-            &mut self.vn_active,
-            &mut self.core_load,
-            topo,
-            vn,
-            location,
-        ) {
+        let idx = vn.index();
+        if self.failure.is_some()
+            || idx > self.vn_location.len()
+            || location.index() >= topo.node_count()
+            || self.vn_active.get(idx) == Some(&true)
+        {
             return false;
         }
-        for core in &mut self.cores {
-            core.set_route_table(self.routes.clone());
+        let added_tree = self.matrix.vn_index(location).is_none();
+        if added_tree && !self.matrix.add_source(topo, location) {
+            return false;
         }
-        self.fluid.mark_routes_dirty();
-        if self.fluid.has_flows() {
-            self.recompute_fluid(at);
+        let mut next = (*self.routes).clone();
+        if !next.bind_endpoint(&self.matrix, idx, location) {
+            if added_tree {
+                self.matrix.remove_source(location);
+            }
+            return false;
         }
-        true
+        let entry = CoreId(mn_assign::least_loaded(&self.core_load));
+        self.core_load[entry.index()] += 1;
+        if idx == self.vn_location.len() {
+            self.vn_location.push(location);
+            self.vn_entry_core.push(entry);
+            self.vn_active.push(true);
+        } else {
+            self.vn_location[idx] = location;
+            self.vn_entry_core[idx] = entry;
+            self.vn_active[idx] = true;
+        }
+        self.routes = Arc::new(next);
+        self.publish_routes(at, false)
     }
 
     /// Removes a VN from the emulation mid-run. New traffic to or from it
-    /// is refused from this instant; descriptors already in flight drain
-    /// deterministically on their pre-departure routes (every interned
-    /// `RouteId` survives the departure); its fluid flows are torn down
-    /// and their share returned to the network. Returns `false` when the
-    /// VN is not an active member.
+    /// is refused from this instant; its row shard is cleared in the next
+    /// route-table generation and, if it was the last endpoint at its
+    /// location, the matrix source tree is removed too. Routes *toward* the
+    /// departed endpoint — and every interned `RouteId` — are retained, so
+    /// descriptors already in flight drain deterministically on their
+    /// pre-departure routes; its fluid flows are torn down and their share
+    /// returned to the network. Returns `false` when the VN is not an
+    /// active member, or on a poisoned emulator.
     pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-        if !apply_vn_leave(
-            &mut self.matrix,
-            &mut self.routes,
-            &self.vn_location,
-            &self.vn_entry_core,
-            &mut self.vn_active,
-            &mut self.core_load,
-            vn,
-        ) {
+        let idx = vn.index();
+        if self.failure.is_some() || !self.vn_is_active(vn) {
             return false;
         }
-        for core in &mut self.cores {
-            core.set_route_table(self.routes.clone());
+        let mut next = (*self.routes).clone();
+        if !next.unbind_endpoint(idx) {
+            return false;
         }
+        self.vn_active[idx] = false;
+        self.core_load[self.vn_entry_core[idx].index()] -= 1;
+        if !next.has_endpoints_at(self.vn_location[idx]) {
+            self.matrix.remove_source(self.vn_location[idx]);
+        }
+        self.routes = Arc::new(next);
         let removed = self.fluid.remove_vn_flows(vn, at);
-        self.fluid.mark_routes_dirty();
-        if removed > 0 || self.fluid.has_flows() {
-            self.recompute_fluid(at);
-        }
-        true
+        self.publish_routes(at, removed > 0)
     }
 
-    /// Submits a packet emitted by its source VN's edge node at time `now`.
+    /// Routes a packet to its entry core, or settles it here: unknown or
+    /// departed endpoints, no route, or both VNs at one location.
     ///
     /// This is the per-packet fast path: every lookup is an indexed array
     /// read (VN location, VN-pair route id, entry core) — no hashing, no
     /// route clone, no allocation.
-    pub fn submit(&mut self, now: SimTime, packet: Packet) -> SubmitOutcome {
+    #[inline]
+    fn admit(&mut self, now: SimTime, packet: Packet) -> Admission {
         let src_idx = packet.flow.src.index();
         let dst_idx = packet.flow.dst.index();
-        let Some(&src_loc) = self.vn_location.get(src_idx) else {
-            return SubmitOutcome::NoRoute;
-        };
-        let Some(&dst_loc) = self.vn_location.get(dst_idx) else {
-            return SubmitOutcome::NoRoute;
+        let (Some(&src_loc), Some(&dst_loc)) =
+            (self.vn_location.get(src_idx), self.vn_location.get(dst_idx))
+        else {
+            return Admission::Resolved(SubmitOutcome::NoRoute);
         };
         // Departed endpoints refuse new traffic immediately (descriptors
         // already inside the network still drain on their retained routes).
         if !self.vn_active[src_idx] || !self.vn_active[dst_idx] {
-            return SubmitOutcome::NoRoute;
+            return Admission::Resolved(SubmitOutcome::NoRoute);
         }
         if src_loc == dst_loc {
             // Both VNs bound to the same topology location: traffic never
@@ -679,337 +902,234 @@ impl MultiCoreEmulator {
                 delivered_at: now,
                 entered_at: now,
                 hops: 0,
-                emulation_error: mn_util::SimDuration::ZERO,
+                emulation_error: SimDuration::ZERO,
             });
-            return SubmitOutcome::Accepted;
+            return Admission::Resolved(SubmitOutcome::Accepted);
         }
         let Some(route) = self.routes.route_id(src_idx, dst_idx) else {
-            return SubmitOutcome::NoRoute;
+            return Admission::Resolved(SubmitOutcome::NoRoute);
         };
-        let entry = self
-            .vn_entry_core
-            .get(src_idx)
-            .copied()
-            .unwrap_or(CoreId(0));
-        let descriptor = Descriptor::new(packet, route, now);
-        match self.cores[entry.index()].ingress(now, descriptor) {
-            IngressOutcome::Accepted => SubmitOutcome::Accepted,
-            IngressOutcome::VirtualDrop => SubmitOutcome::VirtualDrop,
-            IngressOutcome::PhysicalDropNic | IngressOutcome::PhysicalDropCpu => {
-                SubmitOutcome::PhysicalDrop
-            }
-        }
+        let entry = self.vn_entry_core.get(src_idx).map_or(0, |c| c.index());
+        Admission::Ingress(entry, Descriptor::new(packet, route, now))
+    }
+
+    /// Submits a packet emitted by its source VN's edge node at time `now`.
+    /// The NIC/CPU/first-pipe decision runs on the entry core.
+    ///
+    /// # Errors
+    ///
+    /// [`EmuError::WorkerFailure`] if the entry core's thread died or
+    /// stalled — and, once failed, on every subsequent call.
+    pub fn submit(&mut self, now: SimTime, packet: Packet) -> Result<SubmitOutcome, EmuError> {
+        self.check_poisoned()?;
+        let (core, descriptor) = match self.admit(now, packet) {
+            Admission::Resolved(outcome) => return Ok(outcome),
+            Admission::Ingress(core, descriptor) => (core, descriptor),
+        };
+        let outcome = match self.exec.ingress(core, now, descriptor) {
+            Ok(Some(outcome)) => Ok(outcome),
+            Ok(None) => self.exec.ingress_outcome(core),
+            Err(error) => Err(error),
+        };
+        outcome.map(SubmitOutcome::from).map_err(|e| self.fail(e))
     }
 
     /// Submits a batch of timestamped packets, appending one outcome per
-    /// packet (in input order) to `outcomes`. Exactly equivalent to calling
-    /// [`MultiCoreEmulator::submit`] per packet; provided so bulk traffic
-    /// drivers can run against either backend through one call shape (the
-    /// parallel backend pipelines this path).
-    pub fn submit_batch<I>(&mut self, batch: I, outcomes: &mut Vec<SubmitOutcome>)
+    /// packet (in input order) to `outcomes`. Semantically identical to
+    /// calling [`Emulator::submit`] per packet — per-core admission order is
+    /// the input order — but a threaded executor pipelines the round trips
+    /// instead of blocking on each packet.
+    ///
+    /// # Errors
+    ///
+    /// [`EmuError::WorkerFailure`] if a core thread died or stalled
+    /// mid-batch; `outcomes` is left untouched in that case.
+    pub fn submit_batch<I>(
+        &mut self,
+        batch: I,
+        outcomes: &mut Vec<SubmitOutcome>,
+    ) -> Result<(), EmuError>
     where
         I: IntoIterator<Item = (SimTime, Packet)>,
     {
+        self.check_poisoned()?;
+        let start = outcomes.len();
+        self.submit_all(batch, outcomes).map_err(|error| {
+            // Partial outcomes are never consistent once a core failed.
+            outcomes.truncate(start);
+            self.fail(error)
+        })
+    }
+
+    fn submit_all<I>(&mut self, batch: I, outcomes: &mut Vec<SubmitOutcome>) -> Result<(), EmuError>
+    where
+        I: IntoIterator<Item = (SimTime, Packet)>,
+    {
+        // (slot in `outcomes`, core) of every ingress the executor pipelined.
+        let mut pipelined = Vec::new();
         for (now, packet) in batch {
-            outcomes.push(self.submit(now, packet));
+            let outcome = match self.admit(now, packet) {
+                Admission::Resolved(outcome) => outcome,
+                Admission::Ingress(core, descriptor) => {
+                    match self.exec.ingress(core, now, descriptor)? {
+                        Some(outcome) => outcome.into(),
+                        None => {
+                            pipelined.push((outcomes.len(), core));
+                            SubmitOutcome::NoRoute
+                        }
+                    }
+                }
+            };
+            outcomes.push(outcome);
         }
+        for (slot, core) in pipelined {
+            outcomes[slot] = self.exec.ingress_outcome(core)?.into();
+        }
+        Ok(())
     }
 
     /// The earliest time at which any core (or any in-flight tunnel) has work
     /// due.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let core_next = self.cores.iter().filter_map(|c| c.next_wakeup()).min();
-        let tunnel_next = self
-            .tunnels_in_flight
-            .peek_time()
-            .map(|t| self.profile.next_tick_at(t));
-        let local = if self.local_deliveries.is_empty() {
-            None
-        } else {
-            Some(SimTime::ZERO)
-        };
-        let fluid_next = self.fluid.next_epoch();
-        [core_next, tunnel_next, local, fluid_next]
+        let local = (!self.local_deliveries.is_empty()).then_some(SimTime::ZERO);
+        [self.exec.next_wakeup(), local, self.fluid.next_epoch()]
             .into_iter()
             .flatten()
             .min()
     }
 
     /// Advances the emulation to time `now`, allocating a fresh delivery
-    /// buffer. Steady-state callers use [`MultiCoreEmulator::advance_into`]
-    /// with a long-lived buffer instead.
-    pub fn advance(&mut self, now: SimTime) -> Vec<Delivery> {
+    /// buffer. Steady-state callers use [`Emulator::advance_into`] with a
+    /// long-lived buffer instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`Emulator::advance_into`].
+    pub fn advance(&mut self, now: SimTime) -> Result<Vec<Delivery>, EmuError> {
         let mut deliveries = Vec::new();
-        self.advance_into(now, &mut deliveries);
-        deliveries
+        self.advance_into(now, &mut deliveries)?;
+        Ok(deliveries)
     }
 
     /// Advances the emulation to time `now`: delivers due tunnels, runs every
     /// core's scheduler, and forwards freshly produced tunnels. Every packet
     /// that exited the emulated network since the previous call is appended
-    /// to `deliveries`; with warmed buffers the pass allocates nothing.
+    /// to `deliveries` (local deliveries, then round-major / core-major);
+    /// with warmed buffers the inline pass allocates nothing.
     ///
     /// While fluid flows are live the advance is chopped at each rate
     /// epoch: cores run up to the epoch, the fair share is re-solved there,
     /// and the changed per-pipe demands take effect before emulation
     /// continues — so packet contention always sees the residual of the
-    /// current piecewise-constant fluid rates, identically on both
-    /// backends.
-    pub fn advance_into(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) {
+    /// current piecewise-constant fluid rates.
+    ///
+    /// # Errors
+    ///
+    /// [`EmuError::WorkerFailure`] if any core thread died or stalled
+    /// during the advance — and, once failed, on every subsequent call.
+    pub fn advance_into(
+        &mut self,
+        now: SimTime,
+        deliveries: &mut Vec<Delivery>,
+    ) -> Result<(), EmuError> {
+        self.check_poisoned()?;
         while let Some(epoch) = self.fluid.next_epoch().filter(|&e| e <= now) {
-            self.advance_cores_into(epoch, deliveries);
+            self.advance_cores_into(epoch, deliveries)?;
             self.recompute_fluid(epoch);
+            self.check_poisoned()?;
         }
-        self.advance_cores_into(now, deliveries);
-        for core in &mut self.cores {
-            core.integrate_fluid_to(now);
-        }
+        self.advance_cores_into(now, deliveries)?;
         self.fluid.integrate_to(now);
+        Ok(())
+    }
+
+    /// One un-chopped advance of every core to `now`.
+    fn advance_cores_into(
+        &mut self,
+        now: SimTime,
+        deliveries: &mut Vec<Delivery>,
+    ) -> Result<(), EmuError> {
+        deliveries.append(&mut self.local_deliveries);
+        let advanced = self.exec.advance(now, deliveries);
+        advanced.map_err(|e| self.fail(e))
     }
 
     /// Serializes the complete emulator state into a checkpoint restorable
-    /// by [`MultiCoreEmulator::restore`] (or into the threaded backend via
-    /// [`crate::ParallelEmulator::restore`]). Resuming from the snapshot is
-    /// bit-identical to never having stopped. Scratch buffers (tick pass,
-    /// solver scratch) hold no state and are not captured.
-    pub fn snapshot(&self) -> crate::snapshot::EmulatorSnapshot {
-        let mut w = mn_util::ByteWriter::with_capacity(64 * 1024);
-        self.encode_state(&mut w);
-        crate::snapshot::EmulatorSnapshot::from_payload(w.into_bytes())
-    }
-
-    /// Rebuilds an emulator from a checkpoint taken by
-    /// [`MultiCoreEmulator::snapshot`] on either backend.
-    pub fn restore(
-        snapshot: &crate::snapshot::EmulatorSnapshot,
-    ) -> Result<Self, mn_util::CodecError> {
-        Self::decode_state(&mut snapshot.reader())
-    }
-
-    /// Writes the backend-independent emulator payload. Kept separate from
-    /// [`MultiCoreEmulator::snapshot`] so the parallel backend can emit the
-    /// identical layout from its collected worker cores.
-    pub(crate) fn encode_state(&self, w: &mut mn_util::ByteWriter) {
-        encode_emulator_state(
-            w,
-            &self.profile,
-            &self.routes,
-            &self.matrix,
-            &self.pod,
-            &self.vn_location,
-            &self.vn_entry_core,
-            &self.vn_active,
-            &self.core_load,
-            &self.tunnels_in_flight,
-            &self.local_deliveries,
-            &self.fluid,
-            self.cores.iter(),
-        );
-    }
-
-    /// Reads the payload written by [`MultiCoreEmulator::encode_state`].
-    pub(crate) fn decode_state(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
-        use crate::snapshot::{get_delivery, get_descriptor};
-        use mn_util::CodecError;
-
-        let profile = HardwareProfile {
-            nic_rate: r.get_rate()?,
-            nic_buffer: mn_util::ByteSize::from_bytes(r.get_u64()?),
-            per_packet_cpu: r.get_duration()?,
-            per_hop_cpu: r.get_duration()?,
-            tunnel_cpu: r.get_duration()?,
-            tunnel_latency: r.get_duration()?,
-            tick: r.get_duration()?,
-            saturation_backlog: r.get_duration()?,
-            packet_debt_correction: r.get_bool()?,
-            payload_caching: r.get_bool()?,
-        };
-        let routes = Arc::new(RouteTable::decode(r)?);
-        let matrix = RoutingMatrix::decode(r)?;
-        let core_count = r.get_usize()?;
-        let pipe_count = r.get_len()?;
-        let mut owners = Vec::with_capacity(pipe_count);
-        for _ in 0..pipe_count {
-            let owner = r.get_usize()?;
-            if owner >= core_count {
-                return Err(CodecError::Invalid("pipe owner out of range"));
+    /// by [`Emulator::restore`] into either executor at the same core
+    /// count. Resuming from the snapshot is bit-identical to never having
+    /// stopped. Read-only: nothing ticks, and the inline executor encodes
+    /// its cores by reference. Scratch buffers (tick pass, solver scratch)
+    /// hold no state and are not captured.
+    ///
+    /// # Errors
+    ///
+    /// [`EmuError::WorkerFailure`] if a core thread died or stalled.
+    pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
+        self.check_poisoned()?;
+        let mut w = ByteWriter::with_capacity(64 * 1024);
+        let written = self.exec.with_cores(|cores, tunnels| {
+            let profile = &self.profile;
+            w.put_rate(profile.nic_rate);
+            w.put_u64(profile.nic_buffer.as_bytes());
+            w.put_duration(profile.per_packet_cpu);
+            w.put_duration(profile.per_hop_cpu);
+            w.put_duration(profile.tunnel_cpu);
+            w.put_duration(profile.tunnel_latency);
+            w.put_duration(profile.tick);
+            w.put_duration(profile.saturation_backlog);
+            w.put_bool(profile.packet_debt_correction);
+            w.put_bool(profile.payload_caching);
+            self.routes.encode(&mut w);
+            self.matrix.encode(&mut w);
+            w.put_usize(self.pod.core_count());
+            w.put_len(self.pod.pipe_count());
+            for pipe in 0..self.pod.pipe_count() {
+                w.put_usize(self.pod.owner(PipeId(pipe)).index());
             }
-            owners.push(CoreId(owner));
-        }
-        let pod = PipeOwnershipDirectory::from_owners(owners, core_count.max(1));
-        let vn_count = r.get_len()?;
-        let mut vn_location = Vec::with_capacity(vn_count);
-        for _ in 0..vn_count {
-            vn_location.push(NodeId(r.get_usize()?));
-        }
-        let mut vn_entry_core = Vec::with_capacity(vn_count);
-        for _ in 0..vn_count {
-            vn_entry_core.push(CoreId(r.get_usize()?));
-        }
-        let mut vn_active = Vec::with_capacity(vn_count);
-        for _ in 0..vn_count {
-            vn_active.push(r.get_bool()?);
-        }
-        let load_count = r.get_len()?;
-        let mut core_load = Vec::with_capacity(load_count);
-        for _ in 0..load_count {
-            core_load.push(r.get_u32()?);
-        }
-        let tunnel_count = r.get_len()?;
-        let mut tunnels_in_flight = TimerWheel::new();
-        for _ in 0..tunnel_count {
-            let time = r.get_time()?;
-            let target = CoreId(r.get_usize()?);
-            let descriptor = get_descriptor(r)?;
-            tunnels_in_flight.push(time, (target, descriptor));
-        }
-        let local_count = r.get_len()?;
-        let mut local_deliveries = Vec::with_capacity(local_count);
-        for _ in 0..local_count {
-            local_deliveries.push(get_delivery(r)?);
-        }
-        let fluid = FluidState::decode(r)?;
-        let encoded_cores = r.get_len()?;
-        if encoded_cores != core_count {
-            return Err(CodecError::Invalid("core count mismatch"));
-        }
-        let mut cores = Vec::with_capacity(core_count);
-        for idx in 0..core_count {
-            let core = EmulatorCore::decode_state(r, profile, routes.clone())?;
-            if core.id().index() != idx {
-                return Err(CodecError::Invalid("core ids out of order"));
+            w.put_len(self.vn_location.len());
+            for loc in &self.vn_location {
+                w.put_usize(loc.index());
             }
-            cores.push(core);
+            for core in &self.vn_entry_core {
+                w.put_usize(core.index());
+            }
+            for &active in &self.vn_active {
+                w.put_bool(active);
+            }
+            w.put_len(self.core_load.len());
+            for &load in &self.core_load {
+                w.put_u32(load);
+            }
+            // Canonical tunnel order: (arrival time, target core), with
+            // per-target FIFO preserved by the stable sort. Same-time tunnels
+            // to *different* targets commute (each `accept_tunnel` touches
+            // only its own core), so sorting does not change the restored
+            // run — it makes the encoding independent of which executor
+            // filed the tunnels, so snapshots of the same emulation point are
+            // byte-identical across executors and snapshot → restore →
+            // snapshot is byte-stable.
+            let mut tunnels = tunnels.entries_in_order();
+            tunnels.sort_by_key(|&(time, &(target, _))| (time, target.index()));
+            w.put_len(tunnels.len());
+            for (time, (target, descriptor)) in tunnels {
+                w.put_time(time);
+                w.put_usize(target.index());
+                put_descriptor(&mut w, descriptor);
+            }
+            w.put_len(self.local_deliveries.len());
+            for delivery in &self.local_deliveries {
+                put_delivery(&mut w, delivery);
+            }
+            self.fluid.encode(&mut w);
+            w.put_len(cores.len());
+            for core in cores {
+                core.encode_state(&mut w);
+            }
+        });
+        match written {
+            Ok(()) => Ok(EmulatorSnapshot::from_payload(w.into_bytes())),
+            Err(error) => Err(self.fail(error)),
         }
-        Ok(MultiCoreEmulator {
-            cores,
-            pod,
-            matrix,
-            routes,
-            vn_location,
-            vn_entry_core,
-            vn_active,
-            core_load,
-            tunnels_in_flight,
-            local_deliveries,
-            tick_buf: TickOutput::default(),
-            profile,
-            fluid,
-        })
-    }
-
-    /// One un-chopped advance of every core (and the tunnel wheel) to `now`.
-    fn advance_cores_into(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) {
-        deliveries.append(&mut self.local_deliveries);
-        let mut tick_buf = std::mem::take(&mut self.tick_buf);
-        // Iterate: tunnel arrivals can enqueue work that completes within the
-        // same pass only if latency is zero; the loop is bounded by the
-        // longest route.
-        loop {
-            // Deliver tunnel descriptors that have arrived.
-            while let Some((_, (target, descriptor))) = self.tunnels_in_flight.pop_due(now) {
-                let _ = self.cores[target.index()].accept_tunnel(now, descriptor);
-            }
-            // Run every core's scheduler through the reusable pass buffer.
-            let mut produced_tunnel = false;
-            for core in &mut self.cores {
-                core.tick_into(now, &mut tick_buf);
-                deliveries.append(&mut tick_buf.deliveries);
-                for (pipe, descriptor, at) in tick_buf.tunnels.drain(..) {
-                    let owner = self
-                        .pod
-                        .get_owner(pipe)
-                        .expect("route references a pipe covered by the POD");
-                    let arrival = at.max(now) + self.profile.tunnel_latency;
-                    self.tunnels_in_flight.push(arrival, (owner, descriptor));
-                    produced_tunnel = true;
-                }
-            }
-            let more_due = self.tunnels_in_flight.peek_time().is_some_and(|t| t <= now);
-            if !(produced_tunnel && more_due) {
-                break;
-            }
-        }
-        self.tick_buf = tick_buf;
-    }
-}
-
-/// Writes the backend-independent emulator payload from its constituent
-/// pieces. Both backends call this — the sequential emulator with its own
-/// fields, the parallel coordinator with the cores collected from its
-/// workers — so the two can never drift into incompatible layouts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_emulator_state<'a>(
-    w: &mut mn_util::ByteWriter,
-    profile: &HardwareProfile,
-    routes: &RouteTable,
-    matrix: &RoutingMatrix,
-    pod: &PipeOwnershipDirectory,
-    vn_location: &[NodeId],
-    vn_entry_core: &[CoreId],
-    vn_active: &[bool],
-    core_load: &[u32],
-    tunnels_in_flight: &TimerWheel<(CoreId, Descriptor)>,
-    local_deliveries: &[Delivery],
-    fluid: &FluidState,
-    cores: impl ExactSizeIterator<Item = &'a EmulatorCore>,
-) {
-    use crate::snapshot::{put_delivery, put_descriptor};
-
-    w.put_rate(profile.nic_rate);
-    w.put_u64(profile.nic_buffer.as_bytes());
-    w.put_duration(profile.per_packet_cpu);
-    w.put_duration(profile.per_hop_cpu);
-    w.put_duration(profile.tunnel_cpu);
-    w.put_duration(profile.tunnel_latency);
-    w.put_duration(profile.tick);
-    w.put_duration(profile.saturation_backlog);
-    w.put_bool(profile.packet_debt_correction);
-    w.put_bool(profile.payload_caching);
-    routes.encode(w);
-    matrix.encode(w);
-    w.put_usize(pod.core_count());
-    w.put_len(pod.pipe_count());
-    for pipe in 0..pod.pipe_count() {
-        w.put_usize(pod.owner(PipeId(pipe)).index());
-    }
-    w.put_len(vn_location.len());
-    for loc in vn_location {
-        w.put_usize(loc.index());
-    }
-    for core in vn_entry_core {
-        w.put_usize(core.index());
-    }
-    for &active in vn_active {
-        w.put_bool(active);
-    }
-    w.put_len(core_load.len());
-    for &load in core_load {
-        w.put_u32(load);
-    }
-    // Canonical tunnel order: (arrival time, target core), with per-target
-    // FIFO preserved by the stable sort. Same-time tunnels to *different*
-    // targets commute (each `accept_tunnel` touches only its own core), so
-    // sorting does not change the restored run — it makes the encoding
-    // independent of which backend produced the wheel, so a sequential and a
-    // threaded snapshot of the same emulation point are byte-identical and
-    // snapshot → restore → snapshot is byte-stable on both backends.
-    let mut tunnels = tunnels_in_flight.entries_in_order();
-    tunnels.sort_by_key(|&(time, &(target, _))| (time, target.index()));
-    w.put_len(tunnels.len());
-    for (time, (target, descriptor)) in tunnels {
-        w.put_time(time);
-        w.put_usize(target.index());
-        put_descriptor(w, descriptor);
-    }
-    w.put_len(local_deliveries.len());
-    for delivery in local_deliveries {
-        put_delivery(w, delivery);
-    }
-    fluid.encode(w);
-    w.put_len(cores.len());
-    for core in cores {
-        core.encode_state(w);
     }
 }
 
@@ -1077,7 +1197,7 @@ mod tests {
             match emu.next_wakeup() {
                 Some(t) => {
                     now = now.max(t);
-                    all.extend(emu.advance(now));
+                    all.extend(emu.advance(now).unwrap());
                 }
                 None => break,
             }
@@ -1099,8 +1219,8 @@ mod tests {
                      out: &mut Vec<Delivery>| {
             for i in from..to {
                 let t = SimTime::from_micros(i * 700);
-                emu.submit(t, tcp_packet(i, src, dst, 1460, t));
-                out.extend(emu.advance(t));
+                emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap();
+                out.extend(emu.advance(t).unwrap());
             }
         };
         let record = |d: &Delivery| (d.packet.id.0, d.delivered_at, d.entered_at, d.hops);
@@ -1113,12 +1233,12 @@ mod tests {
         let (mut first_half, src, dst) = single_path(6, 2);
         let mut b = Vec::new();
         drive(&mut first_half, src, dst, 0, 20, &mut b);
-        let snap = first_half.snapshot();
+        let snap = first_half.snapshot().unwrap();
         assert!(first_half.total_stats().packets_admitted > 0);
         drop(first_half);
 
         let mut resumed = MultiCoreEmulator::restore(&snap).unwrap();
-        let resnap = resumed.snapshot();
+        let resnap = resumed.snapshot().unwrap();
         assert_eq!(
             snap.to_bytes(),
             resnap.to_bytes(),
@@ -1167,11 +1287,11 @@ mod tests {
         ));
         assert!(emu.add_fluid_flow(7, vn(a), vn(b), DataRate::from_mbps(4), 3, t0));
         assert!(emu.vn_leave(vn(c), t0));
-        let _ = emu.advance(SimTime::from_millis(30));
+        let _ = emu.advance(SimTime::from_millis(30)).unwrap();
 
-        let snap = emu.snapshot();
+        let snap = emu.snapshot().unwrap();
         let mut restored = MultiCoreEmulator::restore(&snap).unwrap();
-        assert_eq!(snap.to_bytes(), restored.snapshot().to_bytes());
+        assert_eq!(snap.to_bytes(), restored.snapshot().unwrap().to_bytes());
         assert_eq!(restored.active_vn_count(), emu.active_vn_count());
         assert!(!restored.vn_is_active(vn(c)));
         assert_eq!(restored.fluid_flow_rate(7), emu.fluid_flow_rate(7));
@@ -1179,8 +1299,8 @@ mod tests {
         // Both copies cross several fluid epochs and keep agreeing.
         for step in 1..=5u64 {
             let t = SimTime::from_millis(30 + step * 20);
-            let da = emu.advance(t);
-            let db = restored.advance(t);
+            let da = emu.advance(t).unwrap();
+            let db = restored.advance(t).unwrap();
             assert_eq!(da.len(), db.len());
         }
         assert_eq!(emu.total_stats(), restored.total_stats());
@@ -1195,7 +1315,10 @@ mod tests {
     fn single_hop_delivery_timing() {
         let (mut emu, src, dst) = single_path(1, 1);
         let pkt = tcp_packet(1, src, dst, 1460, SimTime::ZERO);
-        assert_eq!(emu.submit(SimTime::ZERO, pkt), SubmitOutcome::Accepted);
+        assert_eq!(
+            emu.submit(SimTime::ZERO, pkt).unwrap(),
+            SubmitOutcome::Accepted
+        );
         let deliveries = run_until_idle(&mut emu, SimTime::ZERO);
         assert_eq!(deliveries.len(), 1);
         let d = &deliveries[0];
@@ -1215,7 +1338,7 @@ mod tests {
     fn multi_hop_delay_accumulates_per_hop() {
         let (mut emu, src, dst) = single_path(4, 1);
         let pkt = tcp_packet(1, src, dst, 1460, SimTime::ZERO);
-        emu.submit(SimTime::ZERO, pkt);
+        emu.submit(SimTime::ZERO, pkt).unwrap();
         let deliveries = run_until_idle(&mut emu, SimTime::ZERO);
         assert_eq!(deliveries.len(), 1);
         // 4 hops: 4 × 1.2 ms store-and-forward + 10 ms total latency.
@@ -1237,7 +1360,10 @@ mod tests {
     fn unknown_vn_is_no_route() {
         let (mut emu, src, _) = single_path(1, 1);
         let pkt = tcp_packet(1, src, VnId(999), 100, SimTime::ZERO);
-        assert_eq!(emu.submit(SimTime::ZERO, pkt), SubmitOutcome::NoRoute);
+        assert_eq!(
+            emu.submit(SimTime::ZERO, pkt).unwrap(),
+            SubmitOutcome::NoRoute
+        );
     }
 
     #[test]
@@ -1250,17 +1376,17 @@ mod tests {
         let now = SimTime::ZERO;
         for bad in [VnId(2), VnId(999), VnId(u32::MAX)] {
             assert_eq!(
-                emu.submit(now, tcp_packet(1, bad, dst, 100, now)),
+                emu.submit(now, tcp_packet(1, bad, dst, 100, now)).unwrap(),
                 SubmitOutcome::NoRoute,
                 "unknown source {bad}"
             );
             assert_eq!(
-                emu.submit(now, tcp_packet(2, src, bad, 100, now)),
+                emu.submit(now, tcp_packet(2, src, bad, 100, now)).unwrap(),
                 SubmitOutcome::NoRoute,
                 "unknown destination {bad}"
             );
             assert_eq!(
-                emu.submit(now, tcp_packet(3, bad, bad, 100, now)),
+                emu.submit(now, tcp_packet(3, bad, bad, 100, now)).unwrap(),
                 SubmitOutcome::NoRoute,
                 "both endpoints unknown {bad}"
             );
@@ -1268,7 +1394,7 @@ mod tests {
         }
         // The emulator still works for bound VNs afterwards.
         assert_eq!(
-            emu.submit(now, tcp_packet(4, src, dst, 100, now)),
+            emu.submit(now, tcp_packet(4, src, dst, 100, now)).unwrap(),
             SubmitOutcome::Accepted
         );
         let delivered = run_until_idle(&mut emu, now);
@@ -1282,7 +1408,7 @@ mod tests {
         assert_eq!(emu.core_count(), 2);
         for i in 0..10 {
             let t = SimTime::from_micros(i * 500);
-            emu.submit(t, tcp_packet(i, src, dst, 1460, t));
+            emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap();
         }
         let deliveries = run_until_idle(&mut emu, SimTime::ZERO);
         assert_eq!(deliveries.len(), 10);
@@ -1319,7 +1445,8 @@ mod tests {
             emu.submit(
                 SimTime::ZERO,
                 tcp_packet(i as u64, a, b, 1000, SimTime::ZERO),
-            );
+            )
+            .unwrap();
             sent += 1;
         }
         let deliveries = run_until_idle(&mut emu, SimTime::ZERO);
@@ -1357,7 +1484,10 @@ mod tests {
         let dst = binding.vn_at(pairs[0].1).unwrap();
         let mut virtual_drops = 0;
         for i in 0..100 {
-            match emu.submit(SimTime::ZERO, tcp_packet(i, src, dst, 1460, SimTime::ZERO)) {
+            match emu
+                .submit(SimTime::ZERO, tcp_packet(i, src, dst, 1460, SimTime::ZERO))
+                .unwrap()
+            {
                 SubmitOutcome::VirtualDrop => virtual_drops += 1,
                 SubmitOutcome::Accepted => {}
                 other => panic!("unexpected outcome {other:?}"),
@@ -1394,10 +1524,12 @@ mod tests {
         let mut physical = 0;
         for i in 0..200u64 {
             let t = SimTime::from_micros(i * 10);
-            if emu.submit(t, tcp_packet(i, src, dst, 1460, t)) == SubmitOutcome::PhysicalDrop {
+            if emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap()
+                == SubmitOutcome::PhysicalDrop
+            {
                 physical += 1;
             }
-            let _ = emu.advance(t);
+            let _ = emu.advance(t).unwrap();
         }
         assert!(
             physical > 0,
@@ -1422,12 +1554,14 @@ mod tests {
             HardwareProfile::unconstrained(),
             1,
         );
-        let outcome = emu.submit(
-            SimTime::from_millis(1),
-            tcp_packet(1, VnId(0), VnId(1), 100, SimTime::from_millis(1)),
-        );
+        let outcome = emu
+            .submit(
+                SimTime::from_millis(1),
+                tcp_packet(1, VnId(0), VnId(1), 100, SimTime::from_millis(1)),
+            )
+            .unwrap();
         assert_eq!(outcome, SubmitOutcome::Accepted);
-        let deliveries = emu.advance(SimTime::from_millis(1));
+        let deliveries = emu.advance(SimTime::from_millis(1)).unwrap();
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].hops, 0);
         assert_eq!(emu.total_stats().packets_admitted, 0);
@@ -1445,11 +1579,11 @@ mod tests {
             let (mut emu, src, dst) = single_path(6, cores);
             for i in 0..25 {
                 let t = SimTime::from_micros(i * 1400);
-                emu.submit(t, tcp_packet(i, src, dst, 1460, t));
+                emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap();
             }
             let _ = run_until_idle(&mut emu, SimTime::ZERO);
             let merged = (0..emu.core_count())
-                .map(|c| *emu.core_stats(CoreId(c)).expect("core exists"))
+                .map(|c| emu.core_stats(CoreId(c)).expect("core exists"))
                 .fold(CoreStats::default(), |acc, s| acc.merged(&s));
             assert_eq!(merged, emu.total_stats(), "drain order must not matter");
             merged
@@ -1521,6 +1655,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         assert!(emu
             .submit(t0, tcp_packet(1, vn(a), vn(b), 1000, t0))
+            .unwrap()
             .is_accepted());
         // Fail a-r1 in both directions and reroute incrementally.
         let down = [d.find_pipe(a, r1).unwrap(), d.find_pipe(r1, a).unwrap()];
@@ -1552,6 +1687,7 @@ mod tests {
         let t1 = SimTime::from_millis(50);
         assert!(emu
             .submit(t1, tcp_packet(2, vn(a), vn(b), 1000, t1))
+            .unwrap()
             .is_accepted());
         let deliveries = run_until_idle(&mut emu, t1);
         assert_eq!(deliveries.len(), 1);
@@ -1586,15 +1722,15 @@ mod tests {
             while now < horizon {
                 // 1000-byte packets every millisecond = 8 Mb/s offered.
                 let pkt = tcp_packet(id, src, dst, 960, now);
-                if emu.submit(now, pkt).is_accepted() {
+                if emu.submit(now, pkt).unwrap().is_accepted() {
                     accepted += 1;
                 }
                 id += 1;
                 now += SimDuration::from_millis(1);
-                let _ = emu.advance(now);
+                let _ = emu.advance(now).unwrap();
             }
             // Drain the queues (bounded: CBR keeps the emulator non-idle).
-            let _ = emu.advance(horizon + SimDuration::from_secs(1));
+            let _ = emu.advance(horizon + SimDuration::from_secs(1)).unwrap();
             (accepted, id, emu.total_stats())
         };
         let (clean_accepted, offered, clean_stats) = run(false);
@@ -1635,7 +1771,7 @@ mod tests {
                 SimDuration::from_millis(2)
             )]
         );
-        let _ = emu.advance(SimTime::from_millis(100));
+        let _ = emu.advance(SimTime::from_millis(100)).unwrap();
         let after_run = emu.total_stats().cbr_injected;
         assert!(after_run > 0);
         // Replacing halves the rate (doubles the gap) without stacking a
@@ -1652,7 +1788,7 @@ mod tests {
         );
         assert!(emu.set_pipe_cbr(pipe, None, SimTime::from_millis(100)));
         assert!(sources(&emu).is_empty());
-        let _ = emu.advance(SimTime::from_millis(200));
+        let _ = emu.advance(SimTime::from_millis(200)).unwrap();
         assert_eq!(
             emu.total_stats().cbr_injected,
             after_run,
@@ -1681,7 +1817,7 @@ mod tests {
             let dst = binding.vn_at(pairs[0].1).unwrap();
             for i in 0..20 {
                 let t = SimTime::from_micros(i * 1300);
-                emu.submit(t, tcp_packet(i, src, dst, 1460, t));
+                emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap();
             }
             let _ = run_until_idle(&mut emu, SimTime::ZERO);
             emu.total_stats()
@@ -1722,6 +1858,7 @@ mod tests {
         for i in 0..5 {
             assert!(emu
                 .submit(now, tcp_packet(i, src, dst, 1460, now))
+                .unwrap()
                 .is_accepted());
         }
         // A node on the route fails while all five descriptors are still on
@@ -1751,6 +1888,7 @@ mod tests {
         for i in 0..10 {
             assert!(emu
                 .submit(now, tcp_packet(i, src, dst, 1460, now))
+                .unwrap()
                 .is_accepted());
         }
         // The receiver departs with ten descriptors still in flight.
@@ -1760,11 +1898,11 @@ mod tests {
         assert_eq!(emu.active_vn_count(), 1);
         // New traffic touching the departed VN is refused pre-NIC...
         assert_eq!(
-            emu.submit(now, tcp_packet(99, src, dst, 100, now)),
+            emu.submit(now, tcp_packet(99, src, dst, 100, now)).unwrap(),
             SubmitOutcome::NoRoute
         );
         assert_eq!(
-            emu.submit(now, tcp_packet(99, dst, src, 100, now)),
+            emu.submit(now, tcp_packet(99, dst, src, 100, now)).unwrap(),
             SubmitOutcome::NoRoute
         );
         // ...but the pre-departure descriptors drain to delivery on their
@@ -1807,7 +1945,7 @@ mod tests {
         // retired with it — O(component), no rebuild of anyone else's state.
         assert_eq!(emu.routing().live_source_count(), live - 1);
         assert_eq!(
-            emu.submit(now, tcp_packet(1, src, dst, 100, now)),
+            emu.submit(now, tcp_packet(1, src, dst, 100, now)).unwrap(),
             SubmitOutcome::NoRoute
         );
         // Rejoining re-grows the tree and rebinds the row shard in place.
@@ -1816,6 +1954,7 @@ mod tests {
         assert_eq!(emu.routing().live_source_count(), live);
         assert!(emu
             .submit(now, tcp_packet(2, src, dst, 1460, now))
+            .unwrap()
             .is_accepted());
         let deliveries = run_until_idle(&mut emu, now);
         assert_eq!(deliveries.len(), 1);
@@ -1860,9 +1999,11 @@ mod tests {
         // Traffic to and from the newcomer flows like any seed VN's.
         assert!(emu
             .submit(now, tcp_packet(1, newcomer, VnId(1), 1000, now))
+            .unwrap()
             .is_accepted());
         assert!(emu
             .submit(now, tcp_packet(2, VnId(2), newcomer, 1000, now))
+            .unwrap()
             .is_accepted());
         let deliveries = run_until_idle(&mut emu, now);
         assert_eq!(deliveries.len(), 2);

@@ -60,7 +60,7 @@ fn main() {
             "{label:<28} foreground {fg_mbps:>5.2} Mb/s   crowd share {:>5.2} Mb/s   \
              modelled clients {:>7}",
             crowd_bps as f64 / 1e6,
-            runner.emulator().fluid().modelled_clients(),
+            runner.backend().fluid().modelled_clients(),
         );
     };
 
@@ -94,7 +94,7 @@ fn main() {
 
     // The event economy: the crowd moved gigabytes without one scheduled
     // packet — only the foreground paid per-packet cost.
-    let stats = runner.emulator().total_stats();
+    let stats = runner.backend().total_stats();
     println!(
         "\ncrowd traffic modelled at flow level: {:.1} MB across the pipes it crossed \
          (~{} MTU packets a pure-packet run would have scheduled)",

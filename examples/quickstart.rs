@@ -48,14 +48,14 @@ fn main() {
         ),
         None => println!("transfer did not complete within 10 virtual seconds"),
     }
-    let stats = runner.emulator().total_stats();
+    let stats = runner.backend().total_stats();
     println!(
         "core stats: {} packets admitted, {} delivered, {} physical drops",
         stats.packets_admitted,
         stats.packets_delivered,
         stats.physical_drops()
     );
-    let accuracy = runner.emulator().cores()[0].accuracy();
+    let accuracy = runner.emulator().expect("sequential backend").cores()[0].accuracy();
     println!(
         "emulation accuracy: mean error {:.1} us over {} deliveries (max per-hop {:.1} us)",
         accuracy.mean_error_us(),

@@ -68,7 +68,7 @@ fn run_workload(cores: usize, seed: u64) -> (CoreStats, Vec<DeliveryRecord>) {
         let now = SimTime::from_micros(round * 700);
         for (i, &src) in vns.iter().enumerate() {
             let dst = vns[(i + 3) % vns.len()];
-            emu.submit(now, tcp_packet(id, src, dst, now));
+            emu.submit(now, tcp_packet(id, src, dst, now)).unwrap();
             id += 1;
         }
     }
@@ -81,6 +81,7 @@ fn run_workload(cores: usize, seed: u64) -> (CoreStats, Vec<DeliveryRecord>) {
         now = now.max(t);
         deliveries.extend(
             emu.advance(now)
+                .unwrap()
                 .into_iter()
                 .map(|del| (del.packet.id.0, del.delivered_at, del.hops)),
         );

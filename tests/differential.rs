@@ -101,7 +101,7 @@ fn drain_to_idle(emu: &mut MultiCoreEmulator, from: SimTime) -> Vec<mn_emucore::
     for _ in 0..100_000 {
         let Some(t) = emu.next_wakeup() else { break };
         now = now.max(t);
-        all.extend(emu.advance(now));
+        all.extend(emu.advance(now).unwrap());
     }
     all
 }
@@ -145,7 +145,7 @@ proptest! {
                 // packets: zero queueing, so the analytic window applies.
                 let pkt = tcp_packet(fi as u64, src, dst, payload, SimTime::ZERO);
                 let size = pkt.size;
-                let outcome = emu.submit(SimTime::ZERO, pkt);
+                let outcome = emu.submit(SimTime::ZERO, pkt).unwrap();
                 prop_assert!(outcome.is_accepted(), "loss-free link must accept");
                 let deliveries = drain_to_idle(&mut emu, SimTime::ZERO);
                 prop_assert_eq!(deliveries.len(), 1, "no drops on loss-free links");
@@ -239,10 +239,10 @@ proptest! {
         for step in &schedule {
             match step {
                 Step::Advance(now) => {
-                    seq_log.extend(seq.advance(*now).iter().map(&record));
+                    seq_log.extend(seq.advance(*now).unwrap().iter().map(&record));
                 }
                 Step::Submit(now, pkt) => {
-                    seq_outcomes.push(seq.submit(*now, *pkt));
+                    seq_outcomes.push(seq.submit(*now, *pkt).unwrap());
                 }
             }
         }
@@ -250,7 +250,7 @@ proptest! {
         for _ in 0..200_000 {
             let Some(t) = seq.next_wakeup() else { break };
             now = now.max(t);
-            seq_log.extend(seq.advance(now).iter().map(&record));
+            seq_log.extend(seq.advance(now).unwrap().iter().map(&record));
         }
         let seq_stats = seq.total_stats();
         // Parallel run over the identical schedule.
@@ -872,7 +872,7 @@ fn congested_throughput_matches_reference_fair_share() {
             id += 1;
         }
         now += SimDuration::from_millis(2);
-        for delivery in emu.advance(now) {
+        for delivery in emu.advance(now).unwrap() {
             let fi = if delivery.packet.flow.src == vn(flows[0].src) {
                 0
             } else {

@@ -206,7 +206,7 @@ fn emulation_is_deterministic_for_a_seed() {
         (
             runner.flow_completed_at(f1),
             runner.flow_bytes_acked(f2),
-            runner.emulator().total_stats().packets_delivered,
+            runner.backend().total_stats().packets_delivered,
         )
     };
     assert_eq!(run(), run());

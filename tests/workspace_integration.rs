@@ -148,6 +148,7 @@ fn link_failure_reroutes_after_matrix_rebuild() {
     let dst_loc = runner.binding().location(vns[3]).unwrap();
     let route = runner
         .emulator()
+        .expect("sequential backend")
         .routing()
         .lookup(src_loc, dst_loc)
         .unwrap()
@@ -165,12 +166,12 @@ fn link_failure_reroutes_after_matrix_rebuild() {
         .unwrap();
     distilled.pipe_attrs_mut(rev).unwrap().bandwidth = DataRate::ZERO;
     runner
-        .emulator_mut()
+        .backend_mut()
         .update_pipe_attrs(failed_pipe, failed_attrs);
-    runner.emulator_mut().update_pipe_attrs(rev, failed_attrs);
+    runner.backend_mut().update_pipe_attrs(rev, failed_attrs);
     // "Perfect routing protocol": recompute all-pairs routes immediately.
     let new_matrix = mn_routing::RoutingMatrix::build(&distilled);
-    runner.emulator_mut().set_routing(new_matrix);
+    runner.backend_mut().set_routing(new_matrix);
 
     runner.run_for(SimDuration::from_secs(6)).unwrap();
     let after = runner.flow_bytes_acked(flow);
@@ -199,7 +200,7 @@ fn emulation_error_stays_within_per_hop_tick_bound() {
         runner.add_bulk_flow(vns[i], vns[i + 8], None, SimTime::ZERO);
     }
     runner.run_for(SimDuration::from_secs(5)).unwrap();
-    let core = &runner.emulator().cores()[0];
+    let core = &runner.emulator().expect("sequential backend").cores()[0];
     assert!(core.accuracy().delivered() > 1_000);
     assert!(
         core.accuracy().within_bound(SimDuration::from_micros(100)),
@@ -240,7 +241,9 @@ fn packet_debt_correction_reduces_end_to_end_error() {
             );
         }
         runner.run_for(SimDuration::from_secs(3)).unwrap();
-        runner.emulator().cores()[0].accuracy().mean_error_us()
+        runner.emulator().expect("sequential backend").cores()[0]
+            .accuracy()
+            .mean_error_us()
     };
     let without = run(false);
     let with = run(true);
@@ -305,6 +308,6 @@ fn fault_injector_and_emulator_stay_consistent() {
     );
     assert_eq!(events.len(), distilled.pipe_count());
     for e in events {
-        assert!(runner.emulator_mut().update_pipe_attrs(e.pipe, e.attrs));
+        assert!(runner.backend_mut().update_pipe_attrs(e.pipe, e.attrs));
     }
 }
